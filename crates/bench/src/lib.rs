@@ -9,29 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
-
-use hogtame::report::TextTable;
-use hogtame::Artifact;
-
-/// The directory experiment artifacts are written to.
-#[deprecated(note = "use `hogtame::results_dir`")]
-pub fn results_dir() -> PathBuf {
-    hogtame::results_dir()
-}
-
-/// Prints a titled table and persists it under the results directory.
-#[deprecated(note = "use `hogtame::Artifact`")]
-pub fn emit(name: &str, title: &str, table: &TextTable) {
-    Artifact::new(name, title).table(table);
-}
-
-/// Prints and persists a free-form text artifact.
-#[deprecated(note = "use `hogtame::Artifact`")]
-pub fn emit_text(name: &str, title: &str, body: &str) {
-    Artifact::new(name, title).text(body);
-}
-
 /// A minimal self-timing micro-benchmark harness.
 ///
 /// The workspace builds offline with no external bench framework, so the
@@ -86,20 +63,5 @@ pub mod micro {
         }
         let per = t.elapsed().as_secs_f64() / n as f64;
         println!("{name:<44} {per:>14.3} s/iter   ({n} iters)");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn results_dir_env_override() {
-        // Not running in parallel with other env tests in this crate.
-        std::env::set_var("HOGTAME_RESULTS", "/tmp/hogtame-results-test");
-        assert_eq!(results_dir(), PathBuf::from("/tmp/hogtame-results-test"));
-        std::env::remove_var("HOGTAME_RESULTS");
-        assert_eq!(results_dir(), PathBuf::from("results"));
     }
 }

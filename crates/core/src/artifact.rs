@@ -237,6 +237,15 @@ mod tests {
     }
 
     #[test]
+    fn results_dir_env_override() {
+        // The only test in this crate that sets the variable.
+        std::env::set_var("HOGTAME_RESULTS", "/tmp/hogtame-results-test");
+        assert_eq!(results_dir(), PathBuf::from("/tmp/hogtame-results-test"));
+        std::env::remove_var("HOGTAME_RESULTS");
+        assert_eq!(results_dir(), PathBuf::from("results"));
+    }
+
+    #[test]
     fn artifact_writes_txt_and_csv() {
         let dir = scratch("table");
         let t = sample_table();

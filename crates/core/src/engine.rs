@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use runtime::prefetcher::PrefetchPool;
 use runtime::supervisor::{RestartOutcome, Supervisor};
-use runtime::{BrownoutConfig, BrownoutController, Mark, Op, OpStream, RuntimeLayer};
+use runtime::{BrownoutConfig, BrownoutController, Mark, Op, OpStream, RtStats, RuntimeLayer};
 use sim_core::fault::{CrashComponent, FaultDomain, FaultKind, FaultLog, FaultPlan};
 use sim_core::obs::span::{SpanKind, SpanReport, SpanState, SpanTracker};
 use sim_core::obs::{EventKind, EventStream, MetricsRegistry, Recorder};
@@ -481,7 +481,18 @@ impl Engine {
     /// armed immediately.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.apply_fault_plan(plan);
+        self.faults = plan;
+        if plan.io.any() {
+            self.vm
+                .swap_mut()
+                .arm_faults(plan.io, plan.rng_for(FaultDomain::Io));
+        }
+        if plan.daemons.any() {
+            self.daemon_rng = Some(plan.rng_for(FaultDomain::Daemons));
+        }
+        if plan.crashes.any() {
+            self.supervisor = Some(Supervisor::new(&plan.crashes));
+        }
         self
     }
 
@@ -542,42 +553,9 @@ impl Engine {
         self
     }
 
-    fn apply_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-        if plan.io.any() {
-            self.vm
-                .swap_mut()
-                .arm_faults(plan.io, plan.rng_for(FaultDomain::Io));
-        }
-        if plan.daemons.any() {
-            self.daemon_rng = Some(plan.rng_for(FaultDomain::Daemons));
-        }
-        if plan.crashes.any() {
-            self.supervisor = Some(Supervisor::new(&plan.crashes));
-        }
-    }
-
-    /// Installs a fault plan (non-chainable shim).
-    #[deprecated(note = "use the chainable `Engine::with_fault_plan`")]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.apply_fault_plan(plan);
-    }
-
     /// The fault plan in force (default: no faults).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// Enables occupancy sampling (non-chainable shim).
-    #[deprecated(note = "use the chainable `Engine::with_timeline`")]
-    pub fn enable_timeline(&mut self, period: SimDuration) {
-        self.timeline = Some((period, Vec::new()));
-    }
-
-    /// Enables the kernel-activity trace (non-chainable shim).
-    #[deprecated(note = "use the chainable `Engine::with_kernel_trace`")]
-    pub fn enable_kernel_trace(&mut self) {
-        self.vm.set_trace_enabled(true);
     }
 
     /// The machine configuration.
@@ -1314,9 +1292,9 @@ impl Engine {
                         return;
                     }
                 }
-                Op::PrefetchHint { vpn, npages, tag } => self.op_prefetch(i, vpn, npages, tag),
-                Op::ReleaseHint { vpn, priority, tag } => self.op_release(i, vpn, priority, tag),
-                Op::RetireTag { tag } => self.op_retire_tag(i, tag),
+                Op::PrefetchHint { .. } | Op::ReleaseHint { .. } | Op::RetireTag { .. } => {
+                    self.op_hint(i, op)
+                }
                 Op::Sleep(d) => {
                     // Think time: wall-clock passes without execution.
                     let at = self.procs[i].local;
@@ -1421,7 +1399,10 @@ impl Engine {
         self.wake_daemons(self.procs[i].local);
     }
 
-    fn op_prefetch(&mut self, i: usize, vpn: Vpn, npages: u64, tag: u32) {
+    /// Runs one compiler-inserted hint (`PrefetchHint`, `ReleaseHint`
+    /// or `RetireTag`) through the process's run-time layer, charges the
+    /// layer's CPU cost, and issues whatever pages it let through.
+    fn op_hint(&mut self, i: usize, op: Op) {
         if !self.hint_layer_alive {
             return;
         }
@@ -1430,26 +1411,31 @@ impl Engine {
         let Some(rt) = self.procs[i].rt.as_mut() else {
             return;
         };
-        let rejected_before = if track {
-            let s = rt.stats();
-            s.prefetch_rejected + s.prefetch_advisory_dropped
-        } else {
-            0
+        // Each hint call moves only its own rejection counters, so one
+        // sum serves all three kinds.
+        let rejected =
+            |s: &RtStats| s.prefetch_rejected + s.prefetch_advisory_dropped + s.release_rejected;
+        let rejected_before = if track { rejected(rt.stats()) } else { 0 };
+        let (pages, cost) = match op {
+            Op::PrefetchHint { vpn, npages, tag } => {
+                rt.on_prefetch_hint(&self.vm, pid, now, vpn, npages, tag)
+            }
+            Op::ReleaseHint { vpn, priority, tag } => {
+                rt.on_release_hint(&self.vm, pid, now, vpn, priority, tag)
+            }
+            Op::RetireTag { tag } => rt.on_retire_tag(&self.vm, pid, now, tag),
+            _ => unreachable!("op_hint takes hint ops only"),
         };
-        let (pages, cost) = rt.on_prefetch_hint(&self.vm, pid, now, vpn, npages, tag);
         // The hint call's CPU cost is Running unless the admission
         // limiter rejected pages (AdmissionWait) or the brownout ladder
         // is engaged (Throttled) — classified by counter deltas so the
         // attribution is exact, not heuristic.
-        let state = if track {
-            let s = rt.stats();
-            if s.prefetch_rejected + s.prefetch_advisory_dropped > rejected_before {
-                SpanState::AdmissionWait
-            } else if rt.brownout() != PressureLevel::Normal {
-                SpanState::Throttled
-            } else {
-                SpanState::Running
-            }
+        let state = if !track {
+            SpanState::Running
+        } else if rejected(rt.stats()) > rejected_before {
+            SpanState::AdmissionWait
+        } else if rt.brownout() != PressureLevel::Normal {
+            SpanState::Throttled
         } else {
             SpanState::Running
         };
@@ -1458,13 +1444,36 @@ impl Engine {
         p.local += cost;
         let local = p.local;
         self.span_add(i, state, now, cost);
-        if !self.prefetch_alive {
-            // The pthread pool is dead: the filtered pages are simply not
-            // prefetched and will demand-fault later.
+        if let Op::PrefetchHint { .. } = op {
+            // A dead pthread pool prefetches nothing: the filtered pages
+            // will demand-fault later.
+            if self.prefetch_alive {
+                self.issue_prefetches(i, pid, local, &pages);
+            }
             self.wake_daemons(local);
             return;
         }
-        for page in pages {
+        if !pages.is_empty() {
+            self.issue_releases(i, pid, local, &pages);
+        }
+        if let (Op::ReleaseHint { .. }, Some(rt)) = (op, self.procs[i].rt.as_mut()) {
+            // Reactive mode: keep the OS supplied with eviction
+            // candidates instead of releasing.
+            if rt.policy() == runtime::ReleasePolicy::Reactive && rt.buffered_pages() >= 256 {
+                let candidates = rt.take_candidates(128);
+                self.vm.offer_eviction_candidates(pid, &candidates);
+            }
+            // Graceful degradation: hints the health monitor suppressed
+            // serve as reactive eviction candidates regardless of policy.
+            if rt.degraded_pages() >= 128 {
+                let candidates = rt.take_degraded(128);
+                self.vm.offer_eviction_candidates(pid, &candidates);
+            }
+        }
+    }
+
+    fn issue_prefetches(&mut self, i: usize, pid: Pid, local: SimTime, pages: &[Vpn]) {
+        for &page in pages {
             // The prefetch pthread makes the PM call and waits for the I/O;
             // none of that lands on the main thread's clock.
             let (thread, start) = self.procs[i].pool.assign(local);
@@ -1478,93 +1487,6 @@ impl Engine {
             if let Some(rt) = self.procs[i].rt.as_mut() {
                 rt.note_prefetch_outcome(local, page, already);
             }
-        }
-        self.wake_daemons(local);
-    }
-
-    fn op_release(&mut self, i: usize, vpn: Vpn, priority: u32, tag: u32) {
-        if !self.hint_layer_alive {
-            return;
-        }
-        let (pid, now) = (self.procs[i].pid, self.procs[i].local);
-        let track = self.spans.is_some() && self.procs[i].span_req.is_some();
-        let Some(rt) = self.procs[i].rt.as_mut() else {
-            return;
-        };
-        let rejected_before = if track {
-            rt.stats().release_rejected
-        } else {
-            0
-        };
-        let (pages, cost) = rt.on_release_hint(&self.vm, pid, now, vpn, priority, tag);
-        let state = if track {
-            if rt.stats().release_rejected > rejected_before {
-                SpanState::AdmissionWait
-            } else if rt.brownout() != PressureLevel::Normal {
-                SpanState::Throttled
-            } else {
-                SpanState::Running
-            }
-        } else {
-            SpanState::Running
-        };
-        let p = &mut self.procs[i];
-        p.breakdown.add(TimeCategory::User, cost);
-        p.local += cost;
-        let local = p.local;
-        self.span_add(i, state, now, cost);
-        if !pages.is_empty() {
-            self.issue_releases(i, pid, local, &pages);
-        }
-        // Reactive mode: keep the OS supplied with eviction candidates
-        // instead of releasing.
-        let rt = self.procs[i].rt.as_mut().expect("checked above");
-        if rt.policy() == runtime::ReleasePolicy::Reactive && rt.buffered_pages() >= 256 {
-            let candidates = rt.take_candidates(128);
-            self.vm.offer_eviction_candidates(pid, &candidates);
-        }
-        // Graceful degradation: hints the health monitor suppressed serve
-        // as reactive eviction candidates regardless of policy.
-        let rt = self.procs[i].rt.as_mut().expect("checked above");
-        if rt.degraded_pages() >= 128 {
-            let candidates = rt.take_degraded(128);
-            self.vm.offer_eviction_candidates(pid, &candidates);
-        }
-    }
-
-    fn op_retire_tag(&mut self, i: usize, tag: u32) {
-        if !self.hint_layer_alive {
-            return;
-        }
-        let (pid, now) = (self.procs[i].pid, self.procs[i].local);
-        let track = self.spans.is_some() && self.procs[i].span_req.is_some();
-        let Some(rt) = self.procs[i].rt.as_mut() else {
-            return;
-        };
-        let rejected_before = if track {
-            rt.stats().release_rejected
-        } else {
-            0
-        };
-        let (pages, cost) = rt.on_retire_tag(&self.vm, pid, now, tag);
-        let state = if track {
-            if rt.stats().release_rejected > rejected_before {
-                SpanState::AdmissionWait
-            } else if rt.brownout() != PressureLevel::Normal {
-                SpanState::Throttled
-            } else {
-                SpanState::Running
-            }
-        } else {
-            SpanState::Running
-        };
-        let p = &mut self.procs[i];
-        p.breakdown.add(TimeCategory::User, cost);
-        p.local += cost;
-        let local = p.local;
-        self.span_add(i, state, now, cost);
-        if !pages.is_empty() {
-            self.issue_releases(i, pid, local, &pages);
         }
     }
 
@@ -2018,9 +1940,9 @@ fn metric_slug(name: &str) -> String {
         .collect()
 }
 
-/// Renders the legacy `vhand`/`releaser` kernel-trace text from the VM
-/// recorder's daemon-summary events — the exact format the old trace ring
-/// wrote, now derived from the one structured stream.
+/// Renders the `vhand`/`releaser` kernel-trace text from the VM
+/// recorder's daemon-summary events, so the text trace is a view of the
+/// one structured stream rather than a second log.
 fn derive_kernel_trace(rec: &Recorder) -> Vec<TraceRecord> {
     rec.events()
         .filter_map(|ev| match ev.kind {
@@ -2306,26 +2228,6 @@ mod tests {
         assert_eq!(end1, end2, "jittered runs must reproduce exactly");
         assert_eq!(log1, log2);
         assert!(log1.contains("pagingd_skew"), "skew injected: {log1}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setter_shims_still_work() {
-        use sim_core::fault::{FaultPlan, IoFaults};
-        let mut e = engine_small();
-        e.set_fault_plan(FaultPlan {
-            seed: 3,
-            io: IoFaults::flaky(0.2),
-            ..FaultPlan::default()
-        });
-        e.enable_timeline(SimDuration::from_millis(1));
-        e.enable_kernel_trace();
-        assert_eq!(e.fault_plan().seed, 3);
-        let pid = e.vm_mut().add_process(false);
-        let stream = VecStream::new([Op::Compute(SimDuration::from_millis(5)), Op::End]);
-        e.register(pid, "calc", Box::new(stream), None, true);
-        let res = e.run();
-        assert!(res.timeline.is_some(), "shim enabled the timeline");
     }
 
     #[test]

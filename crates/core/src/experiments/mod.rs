@@ -16,37 +16,3 @@ pub mod fig05;
 pub mod fig10a;
 pub mod suite;
 pub mod tables;
-
-use std::io;
-use std::path::Path;
-
-use crate::artifact::Artifact;
-use crate::report::TextTable;
-
-/// Writes a table as `<dir>/<name>.txt` and `<dir>/<name>.csv`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-#[deprecated(note = "use `Artifact` (see `hogtame::prelude`)")]
-pub fn persist_table(dir: &Path, name: &str, title: &str, table: &TextTable) -> io::Result<()> {
-    Artifact::new(name, title).in_dir(dir).write_table(table)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn persist_shim_writes_both_files() {
-        let dir = std::env::temp_dir().join("hogtame-test-persist");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut t = TextTable::new(vec!["a"]);
-        t.row(vec!["1".into()]);
-        persist_table(&dir, "x", "Title", &t).unwrap();
-        assert!(dir.join("x.txt").exists());
-        assert!(dir.join("x.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}

@@ -67,8 +67,6 @@ pub use journal::Journal;
 pub use machine::MachineConfig;
 pub use request::{RunError, RunOutcome, RunRequest};
 pub use scenario::Version;
-#[allow(deprecated)]
-pub use scenario::{Scenario, ScenarioResult};
 
 /// Convenient re-exports for examples and binaries.
 pub mod prelude {
@@ -85,8 +83,6 @@ pub mod prelude {
     pub use crate::report::TextTable;
     pub use crate::request::{RunError, RunOutcome, RunRequest};
     pub use crate::scenario::Version;
-    #[allow(deprecated)]
-    pub use crate::scenario::{Scenario, ScenarioResult};
     pub use runtime::{
         AdmissionConfig, AdmissionStats, BrownoutConfig, BrownoutStats, HealthConfig,
     };

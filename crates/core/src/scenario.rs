@@ -10,8 +10,7 @@
 //! [`Version`] carries that choice; [`install_bench`] /
 //! [`install_interactive`] map compiled workloads into an [`Engine`].
 //! Describing and running a whole experiment is the job of
-//! [`crate::request::RunRequest`] — the legacy [`Scenario`] builder
-//! remains as a deprecated shim over it.
+//! [`crate::request::RunRequest`], which calls these installers.
 
 use compiler::{compile, CompileOptions};
 use runtime::{Executor, ReleasePolicy, RtConfig, RuntimeLayer};
@@ -23,7 +22,6 @@ use workloads::{AdversaryTask, BenchSpec, FleetHog, FleetSpec, InteractiveTask};
 
 use crate::engine::Engine;
 use crate::machine::MachineConfig;
-use crate::request::{RunOutcome, RunRequest};
 
 /// The four build versions of Figure 7.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,72 +80,6 @@ impl Version {
             Version::Buffered => Some(ReleasePolicy::Buffered),
             Version::Reactive => Some(ReleasePolicy::Reactive),
         }
-    }
-}
-
-/// Builder for one experimental run (legacy shim over [`RunRequest`]).
-#[deprecated(note = "use `RunRequest` (see `hogtame::prelude`) — \
-                     chainable, executor-ready, and error-typed")]
-pub struct Scenario {
-    req: RunRequest,
-}
-
-/// Results of a scenario run (the same value [`RunRequest::run`] returns).
-#[deprecated(note = "use `RunOutcome`")]
-pub type ScenarioResult = RunOutcome;
-
-#[allow(deprecated)]
-impl Scenario {
-    /// Starts a scenario on `machine`.
-    pub fn new(machine: MachineConfig) -> Self {
-        Scenario {
-            req: RunRequest::on(machine),
-        }
-    }
-
-    /// Adds an out-of-core benchmark in the given version.
-    pub fn bench(&mut self, spec: BenchSpec, version: Version) -> &mut Self {
-        self.req = self.req.clone().bench_spec(spec, version);
-        self
-    }
-
-    /// Adds the interactive task with the given think time.
-    pub fn interactive(&mut self, sleep: SimDuration, max_sweeps: Option<u32>) -> &mut Self {
-        self.req = self.req.clone().interactive(sleep, max_sweeps);
-        self
-    }
-
-    /// Overrides the run-time layer configuration.
-    pub fn rt_config(&mut self, config: RtConfig) -> &mut Self {
-        self.req = self.req.clone().rt_config(config);
-        self
-    }
-
-    /// Enables memory-occupancy sampling at `period`.
-    pub fn timeline(&mut self, period: SimDuration) -> &mut Self {
-        self.req = self.req.clone().timeline(period);
-        self
-    }
-
-    /// Enables the kernel-activity trace (daemon activations etc.).
-    pub fn kernel_trace(&mut self) -> &mut Self {
-        self.req = self.req.clone().kernel_trace();
-        self
-    }
-
-    /// Installs a seeded fault-injection plan for the run.
-    pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
-        self.req = self.req.clone().fault_plan(plan);
-        self
-    }
-
-    /// Builds and runs the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario is empty.
-    pub fn run(&mut self) -> RunOutcome {
-        self.req.run().expect("empty scenario")
     }
 }
 
@@ -311,6 +243,7 @@ pub fn install_fleet(engine: &mut Engine, spec: &FleetSpec, rt_config: RtConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RunRequest;
     use sim_core::stats::TimeCategory;
     use sim_core::SimTime;
 
@@ -439,31 +372,5 @@ mod tests {
             .unwrap();
         let int = res.interactive.unwrap();
         assert!(int.sweeps.len() >= 2, "interactive ran alongside the hog");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scenario_shim_matches_run_request() {
-        let mut s = Scenario::new(MachineConfig::small());
-        s.bench(tiny_bench(), Version::Release);
-        s.interactive(SimDuration::from_secs(1), None);
-        let shim = s.run();
-        let direct = RunRequest::on(MachineConfig::small())
-            .bench_spec(tiny_bench(), Version::Release)
-            .interactive(SimDuration::from_secs(1), None)
-            .run()
-            .unwrap();
-        assert_eq!(
-            shim.hog.unwrap().finish_time,
-            direct.hog.unwrap().finish_time,
-            "shim and RunRequest are the same simulation"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "empty scenario")]
-    fn empty_scenario_still_panics() {
-        Scenario::new(MachineConfig::small()).run();
     }
 }

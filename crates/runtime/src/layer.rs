@@ -389,36 +389,10 @@ impl RuntimeLayer {
             self.push_degraded(trailing);
             return (Vec::new(), cost);
         }
-        if !self.resident(vm, pid, now, trailing) {
-            self.stats.release_filtered_bitmap += 1;
-            self.obs.emit_page(
-                now,
-                pid.0,
-                trailing.0,
-                EventKind::ReleaseFilteredBitmap { tag },
-            );
-            return (Vec::new(), cost);
-        }
-        self.release_tags.insert(trailing, tag);
-        match self.effective_policy() {
-            ReleasePolicy::Reactive => {
-                self.buffers.buffer(tag, 1, trailing);
-                self.stats.release_buffered += 1;
-                self.obs.emit_page(
-                    now,
-                    pid.0,
-                    trailing.0,
-                    EventKind::ReleaseBuffered { tag, priority: 1 },
-                );
-                (Vec::new(), cost + self.config.buffer_op)
-            }
-            _ => {
-                self.stats.release_issued_direct += 1;
-                self.obs
-                    .emit_page(now, pid.0, trailing.0, EventKind::ReleaseIssued { tag });
-                (vec![trailing], cost)
-            }
-        }
+        // The nest is over, so no further reuse is expected: priority 0.
+        let mut out = Vec::new();
+        let tail = self.release_tail(vm, pid, now, (trailing, 0, tag), &mut out);
+        (out, cost + tail)
     }
 
     /// Feedback from the VM about a touch on `vpn`: attributes release
@@ -746,7 +720,7 @@ impl RuntimeLayer {
                 self.checked_fail(now, "release_queue_priority", why);
             }
         }
-        let mut cost = self.config.hint_check;
+        let cost = self.config.hint_check;
 
         if let Some(h) = self.health.as_mut() {
             if !h.on_hint(tag, now, &mut self.fault_log) {
@@ -796,55 +770,68 @@ impl RuntimeLayer {
             vpn
         };
 
+        cost + self.release_tail(vm, pid, now, (prev, priority, tag), out)
+    }
+
+    /// The tail every release shares once the filters have picked its
+    /// page: the bitmap check, the misfire tag, and the (brownout-
+    /// adjusted) policy. Appends the pages to release now to `out`;
+    /// returns the user-CPU cost beyond the hint check.
+    fn release_tail(
+        &mut self,
+        vm: &VmSys,
+        pid: Pid,
+        now: SimTime,
+        (vpn, priority, tag): (Vpn, u32, u32),
+        out: &mut Vec<Vpn>,
+    ) -> SimDuration {
         // Bitmap check: the page must still be in memory.
-        if !self.resident(vm, pid, now, prev) {
+        if !self.resident(vm, pid, now, vpn) {
             self.stats.release_filtered_bitmap += 1;
             self.obs
-                .emit_page(now, pid.0, prev.0, EventKind::ReleaseFilteredBitmap { tag });
-            return cost;
+                .emit_page(now, pid.0, vpn.0, EventKind::ReleaseFilteredBitmap { tag });
+            return SimDuration::ZERO;
         }
 
-        self.release_tags.insert(prev, tag);
+        self.release_tags.insert(vpn, tag);
         match self.effective_policy() {
             ReleasePolicy::Aggressive => {
                 self.stats.release_issued_direct += 1;
                 self.obs
-                    .emit_page(now, pid.0, prev.0, EventKind::ReleaseIssued { tag });
-                out.push(prev);
-                cost
+                    .emit_page(now, pid.0, vpn.0, EventKind::ReleaseIssued { tag });
+                out.push(vpn);
+                SimDuration::ZERO
             }
             ReleasePolicy::Reactive => {
                 // Accumulate candidates; nothing is released proactively.
-                cost += self.config.buffer_op;
-                self.buffers.buffer(tag, priority.max(1), prev);
+                self.buffers.buffer(tag, priority.max(1), vpn);
                 self.stats.release_buffered += 1;
                 self.obs.emit_page(
                     now,
                     pid.0,
-                    prev.0,
+                    vpn.0,
                     EventKind::ReleaseBuffered {
                         tag,
                         priority: priority.max(1),
                     },
                 );
-                cost
+                self.config.buffer_op
             }
             ReleasePolicy::Buffered => {
                 if priority == 0 {
                     // No expected reuse: issue after the simple checks.
                     self.stats.release_issued_direct += 1;
                     self.obs
-                        .emit_page(now, pid.0, prev.0, EventKind::ReleaseIssued { tag });
-                    out.push(prev);
-                    return cost;
+                        .emit_page(now, pid.0, vpn.0, EventKind::ReleaseIssued { tag });
+                    out.push(vpn);
+                    return SimDuration::ZERO;
                 }
-                cost += self.config.buffer_op;
-                self.buffers.buffer(tag, priority, prev);
+                self.buffers.buffer(tag, priority, vpn);
                 self.stats.release_buffered += 1;
                 self.obs.emit_page(
                     now,
                     pid.0,
-                    prev.0,
+                    vpn.0,
                     EventKind::ReleaseBuffered { tag, priority },
                 );
                 // Near the OS-suggested limit? Drain the lowest priorities.
@@ -859,7 +846,7 @@ impl RuntimeLayer {
                         out.extend(drained);
                     }
                 }
-                cost
+                self.config.buffer_op
             }
         }
     }

@@ -17,8 +17,8 @@
 //! * [`obs`] — structured observability: typed sim-time-stamped events, a
 //!   bounded flight recorder, the merged per-run event stream with JSONL /
 //!   Chrome-trace / Prometheus exporters, and the metrics registry.
-//! * [`trace`] — the legacy free-form trace ring (deprecated in favour of
-//!   [`obs`]).
+//! * [`trace`] — the free-form kernel-trace record, derived from [`obs`]
+//!   events for the CLI's text trace.
 //! * [`sanitizer`] / [`oracle`] — checked mode: typed invariant
 //!   violations raised by in-sim probes, the mutation self-test matrix,
 //!   and the naive lockstep reference model the live state is diffed

@@ -3,7 +3,7 @@
 //! The paper's entire evaluation is observability — stacked time
 //! breakdowns, hint counts, filter effectiveness, reclamation activity —
 //! and this module gives the simulation one structured spine to derive
-//! them all from, replacing the free-form string [`crate::trace::TraceRing`]:
+//! them all from:
 //!
 //! * [`Event`] / [`EventKind`] — a typed, sim-time-stamped event schema.
 //!   Every record carries its subsystem, an optional process id and

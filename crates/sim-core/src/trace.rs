@@ -1,16 +1,9 @@
-//! Bounded in-memory trace ring (legacy).
+//! Free-form kernel-trace records.
 //!
-//! Simulations can emit human-readable trace records (page steals, daemon
-//! activations, fault outcomes) into a fixed-capacity ring. The ring is cheap
-//! when disabled and never grows without bound, so it can be left wired into
-//! hot paths.
-//!
-//! **Deprecated:** the workspace has migrated to structured events
-//! ([`crate::obs`]); [`TraceRing`] remains as a string-formatting shim so
-//! external callers keep compiling. [`TraceRecord`] is still current — the
-//! engine derives legacy kernel-trace records from the structured stream.
-
-use std::collections::VecDeque;
+//! A [`TraceRecord`] is one line of the human-readable kernel trace
+//! (`hogtame run --trace`): daemon activations rendered as text. The
+//! engine derives these records from the structured event stream
+//! ([`crate::obs`]) after a run; nothing records them directly.
 
 use crate::time::SimTime;
 
@@ -23,140 +16,4 @@ pub struct TraceRecord {
     pub tag: &'static str,
     /// Free-form message.
     pub message: String,
-}
-
-/// A bounded ring of trace records.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::trace::TraceRing;
-/// use sim_core::SimTime;
-///
-/// let mut ring = TraceRing::new(2);
-/// ring.set_enabled(true);
-/// ring.emit(SimTime::ZERO, "fault", || "hard fault vpn=3".to_string());
-/// assert_eq!(ring.records().count(), 1);
-/// ```
-#[deprecated(
-    since = "0.5.0",
-    note = "emit typed events through `sim_core::obs::Recorder` instead"
-)]
-#[derive(Debug)]
-pub struct TraceRing {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-    enabled: bool,
-    dropped: u64,
-}
-
-#[allow(deprecated)]
-impl TraceRing {
-    /// Creates a disabled ring with the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        TraceRing {
-            records: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            enabled: false,
-            dropped: 0,
-        }
-    }
-
-    /// Enables or disables recording. Disabled emits are free apart from the
-    /// branch (the message closure is not invoked).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Emits a record; `message` is only evaluated when enabled.
-    pub fn emit(&mut self, time: SimTime, tag: &'static str, message: impl FnOnce() -> String) {
-        if !self.enabled || self.capacity == 0 {
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord {
-            time,
-            tag,
-            message: message(),
-        });
-    }
-
-    /// Iterates over retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of records evicted due to capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clears all retained records (the dropped count is preserved).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_ring_records_nothing() {
-        let mut ring = TraceRing::new(8);
-        ring.emit(SimTime::ZERO, "x", || panic!("must not be evaluated"));
-        assert_eq!(ring.records().count(), 0);
-    }
-
-    #[test]
-    fn enabled_ring_records() {
-        let mut ring = TraceRing::new(8);
-        ring.set_enabled(true);
-        ring.emit(SimTime::from_nanos(5), "vhand", || "scan".into());
-        let rec: Vec<_> = ring.records().collect();
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec[0].tag, "vhand");
-        assert_eq!(rec[0].time, SimTime::from_nanos(5));
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = TraceRing::new(2);
-        ring.set_enabled(true);
-        for i in 0..5u64 {
-            ring.emit(SimTime::from_nanos(i), "t", || format!("{i}"));
-        }
-        let msgs: Vec<_> = ring.records().map(|r| r.message.clone()).collect();
-        assert_eq!(msgs, vec!["3", "4"]);
-        assert_eq!(ring.dropped(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_ring_is_safe() {
-        let mut ring = TraceRing::new(0);
-        ring.set_enabled(true);
-        ring.emit(SimTime::ZERO, "t", || "m".into());
-        assert_eq!(ring.records().count(), 0);
-    }
-
-    #[test]
-    fn clear_preserves_dropped_count() {
-        let mut ring = TraceRing::new(1);
-        ring.set_enabled(true);
-        ring.emit(SimTime::ZERO, "t", || "a".into());
-        ring.emit(SimTime::ZERO, "t", || "b".into());
-        assert_eq!(ring.dropped(), 1);
-        ring.clear();
-        assert_eq!(ring.records().count(), 0);
-        assert_eq!(ring.dropped(), 1);
-    }
 }

@@ -919,37 +919,6 @@ impl VmSys {
                 t += step;
             }
         }
-        if std::env::var_os("HOGTAME_DBG_OOM").is_some() {
-            eprintln!("OOM for {pid}: free={}", self.free.live());
-            for (i, p) in self.procs.iter().enumerate() {
-                let mut pending = 0u64;
-                let mut inflight = 0u64;
-                let mut sampled = 0u64;
-                let mut valid = 0u64;
-                for (_vpn, e) in p.pt.iter_resident() {
-                    if e.release_requested.is_some() {
-                        pending += 1;
-                    }
-                    if e.invalid_reason == Some(crate::pagetable::InvalidReason::Prefetched)
-                        && e.arrives_at > t
-                    {
-                        inflight += 1;
-                    }
-                    if e.clock_sampled {
-                        sampled += 1;
-                    }
-                    if e.valid {
-                        valid += 1;
-                    }
-                }
-                eprintln!(
-                    "  pid{i}: rss={} cap={} guaranteed={} pending={pending} inflight={inflight} sampled={sampled} valid={valid}",
-                    p.pt.resident_pages(),
-                    self.quota.cap(i as u32),
-                    self.quota.guaranteed(i as u32),
-                );
-            }
-        }
         Err(VmError::OutOfMemory { pid })
     }
 

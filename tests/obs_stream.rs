@@ -292,4 +292,23 @@ fn exports_are_well_formed() {
     // And the simulation itself is untouched by instrumentation.
     assert_eq!(plain.run.end_time, out.run.end_time);
     assert_eq!(plain.run.swap_reads, out.run.swap_reads);
+
+    // `kernel_trace()` turns the text trace on; it is derived from the
+    // run, so two runs give the same records and the simulation is
+    // unchanged.
+    let traced = || {
+        RunRequest::on(MachineConfig::small())
+            .bench("MATVEC", Version::Release)
+            .interactive(SLEEP, None)
+            .kernel_trace()
+            .run()
+            .unwrap()
+    };
+    let (a, b) = (traced(), traced());
+    assert!(
+        !a.run.kernel_trace.is_empty(),
+        "kernel_trace() must actually record"
+    );
+    assert_eq!(a.run.kernel_trace, b.run.kernel_trace);
+    assert_eq!(a.run.end_time, plain.run.end_time);
 }

@@ -207,3 +207,67 @@ fn span_events_reach_the_chrome_trace() {
     );
     assert!(chrome.contains("\"ph\":\"X\""), "as Perfetto X events");
 }
+
+/// Per-state totals of a run, in nanoseconds, in `SpanState` order.
+fn state_nanos(out: &RunOutcome) -> Vec<u64> {
+    let spans = out.run.spans.as_ref().expect("observed run carries spans");
+    spans
+        .total_by_state()
+        .iter()
+        .map(|d| d.as_nanos())
+        .collect()
+}
+
+#[test]
+fn hint_costs_land_in_their_span_states() {
+    // Tiling sums exactly no matter which state a hint's cost is
+    // charged to, so pin where it lands. The storm's brownout ladder
+    // turns hint cost into `Throttled`; a starved admission bucket turns
+    // it into `AdmissionWait`; everything else stays `Running`.
+    // Order: Queued, AdmissionWait, Running, HardFaultStall, SwapQueue,
+    // SwapTransfer, LockWait, Throttled, Idle, Shed.
+    assert_eq!(
+        state_nanos(storm()),
+        [
+            1_649_990_489,
+            0,
+            2_984_980_450,
+            3_316_848_600,
+            13_054_524_148_644,
+            467_501_217_359,
+            6_304_036_803,
+            26_554_250,
+            0,
+            0
+        ]
+    );
+    let admitted = RunRequest::on(MachineConfig::small())
+        .bench("MATVEC", Version::Release)
+        .interactive(SimDuration::from_secs(1), None)
+        .rt_config(runtime::RtConfig {
+            admission: Some(AdmissionConfig {
+                rate_per_sec: 5,
+                burst: 2,
+                ..Default::default()
+            }),
+            ..Default::default()
+        })
+        .observe()
+        .run()
+        .expect("admission-starved run");
+    assert_eq!(
+        state_nanos(&admitted),
+        [
+            0,
+            37_815_500,
+            3_183_073_000,
+            2_279_336_000,
+            187_514_937,
+            436_281_967_491,
+            1_318_647_772,
+            0,
+            0,
+            0
+        ]
+    );
+}
