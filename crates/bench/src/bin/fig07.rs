@@ -1,8 +1,8 @@
 //! Figure 7: normalized execution time of the out-of-core applications.
+use hogtame::experiments::suite;
 use hogtame::prelude::*;
 
 fn main() -> Result<(), SuiteError> {
-    SuiteHandle::obtain(&MachineConfig::origin200(), None, SimDuration::from_secs(5))?
-        .emit("fig07");
+    suite::run(&MachineConfig::origin200(), None, SimDuration::from_secs(5))?.emit("fig07");
     Ok(())
 }

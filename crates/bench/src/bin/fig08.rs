@@ -1,8 +1,8 @@
 //! Figure 8: soft page faults caused by paging-daemon invalidations.
+use hogtame::experiments::suite;
 use hogtame::prelude::*;
 
 fn main() -> Result<(), SuiteError> {
-    SuiteHandle::obtain(&MachineConfig::origin200(), None, SimDuration::from_secs(5))?
-        .emit("fig08");
+    suite::run(&MachineConfig::origin200(), None, SimDuration::from_secs(5))?.emit("fig08");
     Ok(())
 }

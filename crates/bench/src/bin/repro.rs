@@ -7,8 +7,9 @@
 //! * `HOGTAME_MACHINE=small` — run on the scaled-down machine with MATVEC
 //!   only (the CI smoke configuration).
 //! * `HOGTAME_RESULTS` — artifact directory (default `results/`).
-//! * `HOGTAME_CACHE=0` — disable the on-disk suite cache.
-use hogtame::experiments::{fig01, fig05, fig10a, tables};
+//! * `HOGTAME_JOURNAL` — completion journal (`1` = `<results>/.journal/`);
+//!   a rerun of the same build replays the journaled suite cells.
+use hogtame::experiments::{fig01, fig05, fig10a, suite, tables};
 use hogtame::prelude::*;
 
 fn main() -> Result<(), SuiteError> {
@@ -36,14 +37,7 @@ fn main() -> Result<(), SuiteError> {
     .text(&fig05::figure5(&machine));
 
     eprintln!("[repro] running the co-run suite on {jobs} worker(s) ...");
-    let suite = SuiteHandle::obtain(&machine, benches, SimDuration::from_secs(5))?;
-    if suite.from_cache() {
-        eprintln!(
-            "[repro] suite satisfied from cache entry {:016x}",
-            suite.key()
-        );
-    }
-    suite.emit_all();
+    suite::run(&machine, benches, SimDuration::from_secs(5))?.emit_all();
 
     eprintln!("[repro] running the Figure 1 sleep sweep ...");
     Artifact::new(

@@ -1,6 +1,5 @@
 //! The artifact sink: one call prints an experiment result and persists
-//! its text + CSV forms, plus the on-disk artifact cache the memoized
-//! suite uses.
+//! its text + CSV forms.
 //!
 //! Every reproduction binary used to hand-roll the same three steps
 //! (print to stdout, write `<name>.txt`, write `<name>.csv`, each with its
@@ -15,11 +14,14 @@
 //!
 //! Artifacts land under [`results_dir`] (`results/`, overridable with
 //! `HOGTAME_RESULTS`). Persistence failures warn on stderr and continue —
-//! a read-only checkout still prints every table.
+//! a read-only checkout still prints every table. Artifacts are outputs
+//! only: nothing reads them back. Reuse of simulated runs across
+//! processes goes through the completion journal ([`crate::journal`]),
+//! keyed by request.
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::report::TextTable;
 
@@ -29,20 +31,6 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("HOGTAME_RESULTS")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Whether the on-disk artifact cache is enabled: `HOGTAME_CACHE` unset,
-/// or set to anything but `0`, `off`, or `no`.
-pub fn cache_enabled() -> bool {
-    match std::env::var("HOGTAME_CACHE") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
-/// The artifact-cache root, under the results directory.
-pub fn cache_dir() -> PathBuf {
-    results_dir().join(".cache")
 }
 
 /// A named, titled experiment artifact bound to an output directory.
@@ -137,88 +125,6 @@ impl Artifact {
     }
 }
 
-/// The checksum line for one cached table: `<name> <fingerprint:016x>
-/// <byte-length>` over the exact CSV bytes.
-fn checksum_line(name: &str, csv: &str) -> String {
-    format!(
-        "{name} {:016x} {}",
-        crate::journal::content_fingerprint("cache-table/v1", csv),
-        csv.len()
-    )
-}
-
-/// Loads a set of named tables from the cache entry `key`, or `None` if
-/// any table is missing, unparseable, or fails verification against the
-/// entry's `checksums.txt` (all treated as a cache miss — the caller
-/// silently recomputes). A half-written, truncated, or hand-edited entry
-/// can therefore never poison downstream figures.
-pub fn cache_load(cache: &Path, key: u64, names: &[&str]) -> Option<Vec<TextTable>> {
-    let entry = cache.join(format!("{key:016x}"));
-    let checksums = fs::read_to_string(entry.join("checksums.txt")).ok()?;
-    names
-        .iter()
-        .map(|name| {
-            let csv = fs::read_to_string(entry.join(format!("{name}.csv"))).ok()?;
-            checksums
-                .lines()
-                .any(|line| line == checksum_line(name, &csv))
-                .then(|| TextTable::from_csv(&csv))?
-        })
-        .collect()
-}
-
-/// Stores named tables (as CSV) plus a human-readable manifest under the
-/// cache entry `key`, atomically enough for concurrent writers: the entry
-/// is built in a scratch directory and renamed into place last.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn cache_store(
-    cache: &Path,
-    key: u64,
-    manifest: &str,
-    tables: &[(&str, &TextTable)],
-) -> io::Result<()> {
-    let entry = cache.join(format!("{key:016x}"));
-    let scratch = cache.join(format!(".tmp-{key:016x}-{}", std::process::id()));
-    fs::create_dir_all(&scratch)?;
-    let write_all = || -> io::Result<()> {
-        let mut checksums = String::new();
-        for (name, table) in tables {
-            let csv = table.to_csv();
-            checksums.push_str(&checksum_line(name, &csv));
-            checksums.push('\n');
-            fs::write(scratch.join(format!("{name}.csv")), csv)?;
-        }
-        fs::write(scratch.join("checksums.txt"), checksums)?;
-        fs::write(scratch.join("manifest.txt"), manifest)?;
-        Ok(())
-    };
-    if let Err(e) = write_all() {
-        let _ = fs::remove_dir_all(&scratch);
-        return Err(e);
-    }
-    if entry.exists() {
-        // A concurrent run already populated this key with (by
-        // construction) identical contents; keep theirs.
-        let _ = fs::remove_dir_all(&scratch);
-        return Ok(());
-    }
-    match fs::rename(&scratch, &entry) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_dir_all(&scratch);
-            // Lost a rename race to an identical writer: still a success.
-            if entry.exists() {
-                Ok(())
-            } else {
-                Err(e)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,66 +175,6 @@ mod tests {
             .unwrap();
         let txt = fs::read_to_string(dir.join("listing.txt")).unwrap();
         assert_eq!(txt, "Figure 5\n\npf(&a[i])");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_roundtrip_and_miss() {
-        let dir = scratch("cache");
-        let t = sample_table();
-        assert!(cache_load(&dir, 42, &["x"]).is_none(), "cold cache misses");
-        cache_store(&dir, 42, "manifest", &[("x", &t)]).unwrap();
-        let loaded = cache_load(&dir, 42, &["x"]).expect("hit");
-        assert_eq!(loaded[0].to_csv(), t.to_csv());
-        assert!(
-            cache_load(&dir, 42, &["x", "y"]).is_none(),
-            "partial = miss"
-        );
-        assert!(cache_load(&dir, 43, &["x"]).is_none(), "other key misses");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A corrupted, truncated, or tampered entry is a silent miss — the
-    /// suite recomputes instead of rendering garbage.
-    #[test]
-    fn corrupted_cache_entries_are_silent_misses() {
-        let t = sample_table();
-        let entry_csv = |dir: &Path| dir.join(format!("{:016x}", 9u64)).join("x.csv");
-
-        // Tampered payload: the CSV no longer matches its checksum.
-        let dir = scratch("tamper");
-        cache_store(&dir, 9, "m", &[("x", &t)]).unwrap();
-        assert!(cache_load(&dir, 9, &["x"]).is_some(), "sanity: clean hit");
-        fs::write(entry_csv(&dir), "k,v\nevil,1.5\n").unwrap();
-        assert!(cache_load(&dir, 9, &["x"]).is_none(), "tampered = miss");
-        let _ = fs::remove_dir_all(&dir);
-
-        // Truncated payload: the stored length no longer matches.
-        let dir = scratch("truncate");
-        cache_store(&dir, 9, "m", &[("x", &t)]).unwrap();
-        let full = fs::read_to_string(entry_csv(&dir)).unwrap();
-        fs::write(entry_csv(&dir), &full[..full.len() - 3]).unwrap();
-        assert!(cache_load(&dir, 9, &["x"]).is_none(), "truncated = miss");
-        let _ = fs::remove_dir_all(&dir);
-
-        // Missing or mangled checksums file: nothing can be verified.
-        let dir = scratch("nosums");
-        cache_store(&dir, 9, "m", &[("x", &t)]).unwrap();
-        let sums = dir.join(format!("{:016x}", 9u64)).join("checksums.txt");
-        fs::write(&sums, "x 0000000000000bad 3\n").unwrap();
-        assert!(cache_load(&dir, 9, &["x"]).is_none(), "bad sums = miss");
-        fs::remove_file(&sums).unwrap();
-        assert!(cache_load(&dir, 9, &["x"]).is_none(), "no sums = miss");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_store_is_idempotent() {
-        let dir = scratch("idem");
-        let t = sample_table();
-        cache_store(&dir, 7, "m", &[("x", &t)]).unwrap();
-        cache_store(&dir, 7, "m", &[("x", &t)]).unwrap();
-        assert!(cache_load(&dir, 7, &["x"]).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,7 @@ use hogtame::prelude::*;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  hogtame list\n  hogtame machine\n  hogtame compile <BENCH> [O|P|R|B|V] [--explain]\n  \
-         hogtame run <BENCH> [O|P|R|B|V] [--sleep SECS] [--timeline] [--trace] [--no-interactive]\n  \
+         hogtame run <BENCH> [O|P|R|B|V] [--sleep SECS] [--timeline] [--no-interactive]\n  \
          hogtame trace <BENCH> [O|P|R|B|V] [--sleep SECS] [--no-interactive]\n  \
          hogtame stats <BENCH> [O|P|R|B|V] [--sleep SECS] [--no-interactive]\n  \
          hogtame fleet [--calm] [--no-ladder] [--datacenter] [--seed N]\n  \
@@ -86,7 +86,6 @@ fn cmd_compile(bench: &str, version: Version, explain: bool) {
 struct RunOpts {
     sleep: f64,
     timeline: bool,
-    trace: bool,
     interactive: bool,
 }
 
@@ -97,9 +96,6 @@ fn cmd_run(bench: &str, version: Version, opts: RunOpts) {
     }
     if opts.timeline {
         request = request.timeline(SimDuration::from_millis(250));
-    }
-    if opts.trace {
-        request = request.kernel_trace();
     }
     let result = match request.run() {
         Ok(result) => result,
@@ -164,20 +160,6 @@ fn cmd_run(bench: &str, version: Version, opts: RunOpts) {
     }
     if let Some(tl) = result.run.timeline {
         println!("\n{}", tl.render_ascii(100));
-    }
-    if opts.trace {
-        println!(
-            "\nkernel trace (most recent {} records):",
-            result.run.kernel_trace.len()
-        );
-        for rec in &result.run.kernel_trace {
-            println!(
-                "  [{:>10.3}s] {:<9} {}",
-                rec.time.as_secs_f64(),
-                rec.tag,
-                rec.message
-            );
-        }
     }
 }
 
@@ -495,7 +477,6 @@ fn main() {
             let mut opts = RunOpts {
                 sleep: 5.0,
                 timeline: false,
-                trace: false,
                 interactive: true,
             };
             let mut i = 2;
@@ -509,7 +490,6 @@ fn main() {
                             .unwrap_or_else(|| usage());
                     }
                     "--timeline" => opts.timeline = true,
-                    "--trace" => opts.trace = true,
                     "--no-interactive" => opts.interactive = false,
                     v if !v.starts_with("--") => version = parse_version(v),
                     _ => usage(),

@@ -14,11 +14,10 @@ use runtime::supervisor::{RestartOutcome, Supervisor};
 use runtime::{BrownoutConfig, BrownoutController, Mark, Op, OpStream, RtStats, RuntimeLayer};
 use sim_core::fault::{CrashComponent, FaultDomain, FaultKind, FaultLog, FaultPlan};
 use sim_core::obs::span::{SpanKind, SpanReport, SpanState, SpanTracker};
-use sim_core::obs::{EventKind, EventStream, MetricsRegistry, Recorder};
+use sim_core::obs::{EventStream, MetricsRegistry, Recorder};
 use sim_core::rng::Pcg32;
 use sim_core::sanitizer::{Mutation, MutationTarget};
 use sim_core::stats::{jain, TailDigest, TimeBreakdown, TimeCategory};
-use sim_core::trace::TraceRecord;
 use sim_core::{EventQueue, PressureLevel, SimDuration, SimTime};
 use vm::{Pid, PressureMonitor, VmSys, Vpn};
 
@@ -285,16 +284,11 @@ pub struct RunResult {
     pub end_time: SimTime,
     /// The occupancy timeline, when sampling was enabled.
     pub timeline: Option<Timeline>,
-    /// Kernel-activity trace records, when tracing was enabled. Derived
-    /// from the structured event stream (daemon-summary events rendered in
-    /// the legacy `vhand`/`releaser` text format).
-    pub kernel_trace: Vec<TraceRecord>,
     /// Every fault injected and degradation transition taken, merged
     /// across the engine, the swap array, and each run-time layer.
     pub fault_log: FaultLog,
     /// The merged, time-sorted structured event stream (empty unless the
-    /// run observed via [`Engine::with_observability`] or the kernel
-    /// trace).
+    /// run observed via [`Engine::with_observability`] or ran checked).
     pub events: EventStream,
     /// Scalar metrics snapshotted from every subsystem at end of run
     /// (always populated; exportable as Prometheus text).
@@ -501,14 +495,6 @@ impl Engine {
     #[must_use]
     pub fn with_timeline(mut self, period: SimDuration) -> Self {
         self.timeline = Some((period, Vec::new()));
-        self
-    }
-
-    /// Enables the VM's kernel-activity trace ring, chainably (records
-    /// surface in [`RunResult::kernel_trace`]).
-    #[must_use]
-    pub fn with_kernel_trace(mut self) -> Self {
-        self.vm.set_trace_enabled(true);
         self
     }
 
@@ -937,7 +923,6 @@ impl Engine {
             final_free: self.vm.free_pages(),
             end_time,
             timeline,
-            kernel_trace: derive_kernel_trace(self.vm.recorder()),
             fault_log,
             events,
             metrics,
@@ -1457,16 +1442,10 @@ impl Engine {
             self.issue_releases(i, pid, local, &pages);
         }
         if let (Op::ReleaseHint { .. }, Some(rt)) = (op, self.procs[i].rt.as_mut()) {
-            // Reactive mode: keep the OS supplied with eviction
-            // candidates instead of releasing.
-            if rt.policy() == runtime::ReleasePolicy::Reactive && rt.buffered_pages() >= 256 {
-                let candidates = rt.take_candidates(128);
-                self.vm.offer_eviction_candidates(pid, &candidates);
-            }
-            // Graceful degradation: hints the health monitor suppressed
-            // serve as reactive eviction candidates regardless of policy.
-            if rt.degraded_pages() >= 128 {
-                let candidates = rt.take_degraded(128);
+            // The run-time layer decides which pages to offer the OS as
+            // eviction candidates; the VM applies them.
+            let candidates = rt.take_eviction_candidates();
+            if !candidates.is_empty() {
                 self.vm.offer_eviction_candidates(pid, &candidates);
             }
         }
@@ -1650,7 +1629,8 @@ impl Engine {
                 rss,
                 guaranteed,
             });
-            self.shed_proc(i, now);
+            self.procs[i].shed = true;
+            self.tear_down(i, now);
             shed += 1;
         }
         shed
@@ -1658,37 +1638,29 @@ impl Engine {
 
     /// Kills process `i` at `now` because an allocation was
     /// unsatisfiable: records the typed [`FaultKind::OomKill`] and tears
-    /// the process down like a shed, freeing everything it held.
+    /// the process down like a shed, freeing everything it held. Cold
+    /// because inlining this rare path into the per-op dispatch loop
+    /// slowed the fleet storm by about 8% (perfbench `work_s`, 2-core
+    /// Xeon).
+    #[cold]
     fn oom_kill(&mut self, i: usize, now: SimTime) {
         let pid = self.procs[i].pid;
         let rss = self.vm.rss(pid);
         self.fault_log
             .record(now, FaultKind::OomKill { pid: pid.0, rss });
-        let p = &mut self.procs[i];
-        p.oom_killed = true;
-        p.finished = true;
-        let was_at = p.local;
-        p.local = p.local.max(now);
-        p.finish_time = p.local;
-        let local = p.local;
-        let span_req = p.span_req.take();
-        self.vm.exit_process(local, pid);
+        self.procs[i].oom_killed = true;
+        let local = self.tear_down(i, now);
         self.wake_daemons(local);
-        // The kill lands as a `Shed` interval covering any jump to `now`,
-        // and the request closes shed so it never pollutes the tail.
-        if let (Some(tracker), Some(req)) = (self.spans.as_mut(), span_req) {
-            tracker.add(req, SpanState::Shed, was_at, local.since(was_at));
-            tracker.close(req, local, true);
-        }
     }
 
-    /// Tears one process down mid-run (the `Emergency` shed). Buffered
-    /// hints are dropped on the floor — the tenant is being evicted
-    /// precisely because memory is scarce — and its memory returns to
-    /// the system exactly as on a normal exit.
-    fn shed_proc(&mut self, i: usize, now: SimTime) {
+    /// Tears process `i` down mid-run at `now` (a shed or an OOM kill) and
+    /// returns its final clock. Buffered hints are dropped on the floor —
+    /// the process goes precisely because memory is scarce — and its
+    /// memory returns to the system exactly as on a normal exit. Its open
+    /// request lands as a `Shed` interval covering any jump to `now` and
+    /// closes shed, so it never pollutes the tail.
+    fn tear_down(&mut self, i: usize, now: SimTime) -> SimTime {
         let p = &mut self.procs[i];
-        p.shed = true;
         p.finished = true;
         let was_at = p.local;
         p.local = p.local.max(now);
@@ -1700,6 +1672,7 @@ impl Engine {
             tracker.add(req, SpanState::Shed, was_at, local.since(was_at));
             tracker.close(req, local, true);
         }
+        local
     }
 
     /// Aggregates the fleet section of the results: per-tenant exact
@@ -1936,27 +1909,6 @@ fn metric_slug(name: &str) -> String {
             } else {
                 '_'
             }
-        })
-        .collect()
-}
-
-/// Renders the `vhand`/`releaser` kernel-trace text from the VM
-/// recorder's daemon-summary events, so the text trace is a view of the
-/// one structured stream rather than a second log.
-fn derive_kernel_trace(rec: &Recorder) -> Vec<TraceRecord> {
-    rec.events()
-        .filter_map(|ev| match ev.kind {
-            EventKind::PagingdScan { scanned, free } => Some(TraceRecord {
-                time: ev.at,
-                tag: "vhand",
-                message: format!("activation: scanned {scanned} frames, free now {free}"),
-            }),
-            EventKind::ReleaserBatch { handled, .. } => Some(TraceRecord {
-                time: ev.at,
-                tag: "releaser",
-                message: format!("activation: handled {handled} queued requests"),
-            }),
-            _ => None,
         })
         .collect()
 }

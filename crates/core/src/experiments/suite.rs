@@ -7,20 +7,20 @@
 //! request is fully self-contained, the suite is bit-identical at any
 //! worker count.
 //!
-//! Because six different binaries (plus `repro`) all consume the same
-//! pass, [`SuiteHandle`] memoizes it: the tables are computed once and
-//! cached on disk under `results/.cache/<fingerprint>/`, keyed by a
-//! stable fingerprint of the request grid. Any change to the machine,
-//! benchmark list, sleep time, or request semantics changes the key.
+//! Six binaries (`fig07`, `fig08`, `fig09`, `fig10b`, `fig10c`,
+//! `table3`) and `repro` all consume this one pass: each calls [`run`]
+//! and [`Suite::emit`]s its tables. The suite keeps no store of its own.
+//! With `HOGTAME_JOURNAL` set, [`run`] drains the grid through the
+//! completion journal ([`crate::journal`]), so a later process replays the
+//! journaled cells instead of re-simulating them. Journal records are
+//! keyed by request, not by build: a journal may only resume the build
+//! that wrote it.
 
-use std::path::Path;
-
-use sim_core::fingerprint::Fnv1a;
 use sim_core::stats::TimeCategory;
 use sim_core::SimDuration;
 use vm::VmStats;
 
-use crate::artifact::{self, Artifact};
+use crate::artifact::Artifact;
 use crate::engine::ProcResult;
 use crate::exec;
 use crate::machine::MachineConfig;
@@ -93,8 +93,7 @@ impl From<RunError> for SuiteError {
 impl std::error::Error for SuiteError {}
 
 /// The artifact `(name, title)` of every table the suite produces, in
-/// emission order. [`Suite::table`] and [`SuiteHandle::table`] accept the
-/// names.
+/// emission order. [`Suite::table`] and [`Suite::emit`] accept the names.
 pub const SUITE_TABLES: [(&str, &str); 6] = [
     (
         "fig07",
@@ -158,17 +157,6 @@ pub fn requests(
     sleep: SimDuration,
 ) -> Vec<RunRequest> {
     grid(machine, &names(benches), sleep)
-}
-
-/// The stable fingerprint of a request grid — the artifact-cache key.
-fn grid_key(reqs: &[RunRequest]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("suite/v1");
-    h.write_u64(reqs.len() as u64);
-    for r in reqs {
-        r.feed(&mut h);
-    }
-    h.finish()
 }
 
 /// Runs the suite for the given benchmark names (paper order if `None`),
@@ -253,117 +241,6 @@ fn assemble(
     })
 }
 
-/// The memoized suite: the six tables of one suite pass, computed at most
-/// once per process and cached on disk across processes.
-///
-/// `fig07`, `fig08`, `fig09`, `fig10b`, `fig10c`, `table3` and `repro`
-/// all obtain the same handle; whichever runs first pays for the 25
-/// simulated runs, the rest load six CSV files.
-pub struct SuiteHandle {
-    tables: Vec<TextTable>,
-    from_cache: bool,
-    key: u64,
-}
-
-impl SuiteHandle {
-    /// Obtains the suite tables, consulting the default on-disk cache
-    /// (under [`artifact::cache_dir`], unless `HOGTAME_CACHE` disables it)
-    /// and running on the default worker count on a miss.
-    pub fn obtain(
-        machine: &MachineConfig,
-        benches: Option<&[&str]>,
-        sleep: SimDuration,
-    ) -> Result<Self, SuiteError> {
-        let cache = artifact::cache_enabled().then(artifact::cache_dir);
-        Self::obtain_in(cache.as_deref(), machine, benches, sleep, exec::jobs())
-    }
-
-    /// [`SuiteHandle::obtain`] with every knob explicit: the cache
-    /// directory (`None` disables caching entirely) and the worker count.
-    pub fn obtain_in(
-        cache: Option<&Path>,
-        machine: &MachineConfig,
-        benches: Option<&[&str]>,
-        sleep: SimDuration,
-        jobs: usize,
-    ) -> Result<Self, SuiteError> {
-        let names = names(benches);
-        let reqs = grid(machine, &names, sleep);
-        let key = grid_key(&reqs);
-        let table_names: Vec<&str> = SUITE_TABLES.iter().map(|(n, _)| *n).collect();
-
-        if let Some(cache) = cache {
-            if let Some(tables) = artifact::cache_load(cache, key, &table_names) {
-                return Ok(SuiteHandle {
-                    tables,
-                    from_cache: true,
-                    key,
-                });
-            }
-        }
-
-        let suite = run_with_jobs(machine, benches, sleep, jobs)?;
-        let tables: Vec<TextTable> = table_names
-            .iter()
-            .map(|n| suite.table(n).expect("SUITE_TABLES names are exhaustive"))
-            .collect();
-        if let Some(cache) = cache {
-            let manifest = format!(
-                "suite grid fingerprint {key:016x}\nbenches: {names:?}\nsleep: {}\nruns: {}\n",
-                suite.sleep,
-                reqs.len(),
-            );
-            let entries: Vec<(&str, &TextTable)> =
-                table_names.iter().copied().zip(tables.iter()).collect();
-            if let Err(e) = artifact::cache_store(cache, key, &manifest, &entries) {
-                eprintln!("warning: could not cache suite {key:016x}: {e}");
-            }
-        }
-        Ok(SuiteHandle {
-            tables,
-            from_cache: false,
-            key,
-        })
-    }
-
-    /// Whether this handle was satisfied from the on-disk cache.
-    pub fn from_cache(&self) -> bool {
-        self.from_cache
-    }
-
-    /// The grid fingerprint keying the cache entry.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// The table registered under `name` in [`SUITE_TABLES`].
-    pub fn table(&self, name: &str) -> Option<&TextTable> {
-        SUITE_TABLES
-            .iter()
-            .position(|(n, _)| *n == name)
-            .map(|i| &self.tables[i])
-    }
-
-    /// Emits (prints + persists) the named table. Returns `false` for an
-    /// unknown name.
-    pub fn emit(&self, name: &str) -> bool {
-        match SUITE_TABLES.iter().position(|(n, _)| *n == name) {
-            Some(i) => {
-                Artifact::new(name, SUITE_TABLES[i].1).table(&self.tables[i]);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Emits every suite table in [`SUITE_TABLES`] order.
-    pub fn emit_all(&self) {
-        for (name, _) in SUITE_TABLES {
-            self.emit(name);
-        }
-    }
-}
-
 impl Suite {
     fn cell(&self, bench: &str, version: Version) -> Option<&SuiteCell> {
         self.cells
@@ -391,6 +268,28 @@ impl Suite {
             "fig10b" => Some(self.fig10b()),
             "fig10c" => Some(self.fig10c()),
             _ => None,
+        }
+    }
+
+    /// Emits (prints + persists) the named table. Returns `false` for an
+    /// unknown name.
+    pub fn emit(&self, name: &str) -> bool {
+        match (
+            SUITE_TABLES.iter().find(|(n, _)| *n == name),
+            self.table(name),
+        ) {
+            (Some(&(_, title)), Some(table)) => {
+                Artifact::new(name, title).table(&table);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Emits every suite table in [`SUITE_TABLES`] order.
+    pub fn emit_all(&self) {
+        for (name, _) in SUITE_TABLES {
+            self.emit(name);
         }
     }
 
@@ -610,28 +509,6 @@ mod tests {
         assert_eq!(err, SuiteError::UnknownBenchmark("NO-SUCH-BENCH".into()));
     }
 
-    #[test]
-    fn grid_key_is_stable_and_input_sensitive() {
-        let m = MachineConfig::small();
-        let names = vec![String::from("MATVEC")];
-        let key = |n: &[String], sleep| grid_key(&grid(&m, n, sleep));
-        let base = key(&names, SimDuration::from_secs(5));
-        assert_eq!(base, key(&names, SimDuration::from_secs(5)));
-        assert_ne!(base, key(&names, SimDuration::from_secs(4)));
-        assert_ne!(
-            base,
-            key(&[String::from("EMBAR")], SimDuration::from_secs(5))
-        );
-        assert_ne!(
-            base,
-            grid_key(&grid(
-                &MachineConfig::origin200(),
-                &names,
-                SimDuration::from_secs(5)
-            ))
-        );
-    }
-
     /// Shape test on the full machine, MATVEC only (fast: ≈ 0.5 s).
     #[test]
     fn matvec_suite_reproduces_headline_shapes() {
@@ -699,32 +576,5 @@ mod tests {
             assert!(!suite.table(name).unwrap().render().is_empty());
         }
         assert!(suite.table("nope").is_none());
-    }
-
-    /// The handle memoizes: a second obtain with the same grid loads from
-    /// the cache and renders identical tables.
-    #[test]
-    fn suite_handle_memoizes_on_disk() {
-        let cache =
-            std::env::temp_dir().join(format!("hogtame-suite-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&cache);
-        let m = MachineConfig::small();
-        let sleep = SimDuration::from_secs(1);
-        let first =
-            SuiteHandle::obtain_in(Some(&cache), &m, Some(&["MATVEC"]), sleep, 2).expect("runs");
-        assert!(!first.from_cache());
-        let second =
-            SuiteHandle::obtain_in(Some(&cache), &m, Some(&["MATVEC"]), sleep, 2).expect("loads");
-        assert!(second.from_cache());
-        assert_eq!(first.key(), second.key());
-        for (name, _) in SUITE_TABLES {
-            assert_eq!(
-                first.table(name).unwrap().to_csv(),
-                second.table(name).unwrap().to_csv(),
-                "{name} must round-trip through the cache"
-            );
-        }
-        assert!(first.table("nope").is_none());
-        let _ = std::fs::remove_dir_all(&cache);
     }
 }

@@ -10,6 +10,10 @@
 //! replayed grid is bit-identical to an uninterrupted one
 //! (`tests/resume_exec.rs` pins the suite CSVs byte for byte).
 //!
+//! The journal is the only on-disk store of run results. The fingerprint
+//! covers the request, not the simulator build, so a journal may only
+//! resume the build that wrote it: after a code change, clear it.
+//!
 //! # Record format
 //!
 //! One file per request, `<fingerprint:016x>.run`:
@@ -26,7 +30,7 @@
 //! request — is treated as a missing record and the run is simply redone.
 //!
 //! Only *journalable* requests are recorded ([`RunRequest::journalable`]:
-//! no timeline, no kernel trace) and only when the run injected no faults
+//! no timeline, no event stream) and only when the run injected no faults
 //! (a non-empty fault log carries event payloads the codec does not
 //! model). Everything else re-runs on resume; correctness never depends
 //! on a record being present.
@@ -43,7 +47,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use sim_core::fault::FaultLog;
-use sim_core::fingerprint::Fnv1a;
 use sim_core::stats::{Counter, TimeBreakdown, TimeCategory};
 use sim_core::{SimDuration, SimTime};
 use vm::lock::LockStats;
@@ -252,15 +255,11 @@ fn push_nums(out: &mut String, key: &str, vals: &[u64]) {
 }
 
 /// Encodes a completed outcome to the journal payload, or `None` when the
-/// outcome carries state the codec does not model (a timeline, kernel
-/// trace records, or a non-empty fault log).
+/// outcome carries state the codec does not model (a timeline or a
+/// non-empty fault log).
 fn encode(outcome: &RunOutcome) -> Option<String> {
     let run = &outcome.run;
-    if run.timeline.is_some()
-        || !run.kernel_trace.is_empty()
-        || run.fault_log.total() != 0
-        || !run.fault_log.events().is_empty()
-    {
+    if run.timeline.is_some() || run.fault_log.total() != 0 || !run.fault_log.events().is_empty() {
         return None;
     }
     let mut out = String::new();
@@ -594,7 +593,6 @@ fn decode(payload: &str) -> Option<RunOutcome> {
             final_free,
             end_time: SimTime::from_nanos(end_nanos),
             timeline: None,
-            kernel_trace: Vec::new(),
             fault_log: FaultLog::from_parts(cap as usize, 0, std::iter::empty(), Vec::new()),
             // Observability payloads are never journaled: observational
             // requests are not journalable at all, and the scalar metrics
@@ -620,15 +618,6 @@ fn decode_role(body: &str) -> Option<Option<u64>> {
 fn decode_list(v: &[u64]) -> Option<&[u64]> {
     let (&n, rest) = v.split_first()?;
     (rest.len() as u64 == n).then_some(rest)
-}
-
-/// A fingerprint of arbitrary bytes, used by the artifact cache's
-/// corruption check (satellite of the same crash-tolerance work).
-pub fn content_fingerprint(domain: &str, body: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str(domain);
-    h.write_str(body);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -751,9 +740,9 @@ mod tests {
         let dir = scratch("nonjournalable");
         let journal = Journal::at(&dir).unwrap();
 
-        let traced = request().kernel_trace();
-        let out = traced.run().unwrap();
-        assert!(!journal.store(&traced, &out).unwrap());
+        let observed = request().observe();
+        let out = observed.run().unwrap();
+        assert!(!journal.store(&observed, &out).unwrap());
 
         let timed = request().timeline(SimDuration::from_millis(100));
         let out = timed.run().unwrap();

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::artifact::{results_dir, Artifact};
     pub use crate::engine::{Engine, FleetStats, ProcResult, RunResult, ShedRecord, TenantTail};
     pub use crate::exec;
-    pub use crate::experiments::suite::{Suite, SuiteError, SuiteHandle, SUITE_TABLES};
+    pub use crate::experiments::suite::{Suite, SuiteError, SUITE_TABLES};
     pub use crate::journal::Journal;
     pub use crate::machine::MachineConfig;
     pub use crate::obs_report::{

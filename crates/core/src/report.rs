@@ -77,67 +77,6 @@ impl TextTable {
         out
     }
 
-    /// Parses a table back from its [`TextTable::to_csv`] rendering (the
-    /// artifact cache stores tables as CSV). Returns `None` on an empty
-    /// input, an unterminated quote, or a row whose width differs from the
-    /// header's.
-    pub fn from_csv(csv: &str) -> Option<Self> {
-        let mut records: Vec<Vec<String>> = Vec::new();
-        let mut row: Vec<String> = Vec::new();
-        let mut cell = String::new();
-        let mut chars = csv.chars().peekable();
-        let mut in_quotes = false;
-        let mut saw_any = false;
-        while let Some(c) = chars.next() {
-            saw_any = true;
-            if in_quotes {
-                match c {
-                    '"' if chars.peek() == Some(&'"') => {
-                        chars.next();
-                        cell.push('"');
-                    }
-                    '"' => in_quotes = false,
-                    _ => cell.push(c),
-                }
-            } else {
-                match c {
-                    '"' => in_quotes = true,
-                    ',' => row.push(std::mem::take(&mut cell)),
-                    '\n' => {
-                        row.push(std::mem::take(&mut cell));
-                        records.push(std::mem::take(&mut row));
-                    }
-                    '\r' => {}
-                    _ => cell.push(c),
-                }
-            }
-        }
-        if in_quotes {
-            return None;
-        }
-        if !cell.is_empty() || !row.is_empty() {
-            row.push(cell);
-            records.push(row);
-        }
-        if !saw_any || records.is_empty() {
-            return None;
-        }
-        let mut it = records.into_iter();
-        let headers = it.next()?;
-        let ncols = headers.len();
-        let mut table = TextTable {
-            headers,
-            rows: Vec::new(),
-        };
-        for r in it {
-            if r.len() != ncols {
-                return None;
-            }
-            table.rows.push(r);
-        }
-        Some(table)
-    }
-
     /// Renders the table as CSV.
     pub fn to_csv(&self) -> String {
         let esc = |s: &String| {
@@ -190,29 +129,11 @@ mod tests {
     fn csv_escapes_commas_and_quotes() {
         let mut t = TextTable::new(vec!["k", "v"]);
         t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn csv_roundtrips_exactly() {
-        let mut t = TextTable::new(vec!["k", "v", "note"]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into(), "plain".into()]);
-        t.row(vec!["".into(), "multi\nline".into(), "x".into()]);
-        let back = TextTable::from_csv(&t.to_csv()).expect("parses");
-        assert_eq!(back.headers, t.headers);
-        assert_eq!(back.rows, t.rows);
-        assert_eq!(back.to_csv(), t.to_csv());
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        assert!(TextTable::from_csv("").is_none(), "empty input");
-        assert!(TextTable::from_csv("a,\"b").is_none(), "unterminated quote");
-        assert!(TextTable::from_csv("a,b\n1\n").is_none(), "ragged row");
-        let ok = TextTable::from_csv("a,b\n1,2\n").unwrap();
-        assert_eq!(ok.len(), 1);
+        t.row(vec!["".into(), "multi\nline".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "k,v\n\"a,b\",\"say \"\"hi\"\"\"\n,\"multi\nline\"\n"
+        );
     }
 
     #[test]

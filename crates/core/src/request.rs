@@ -103,7 +103,6 @@ pub struct RunRequest {
     interactive: Option<(SimDuration, Option<u32>)>,
     rt_config: RtConfig,
     timeline: Option<SimDuration>,
-    kernel_trace: bool,
     observe: bool,
     checked: bool,
     mutation: Option<(SimTime, Mutation)>,
@@ -134,7 +133,6 @@ impl RunRequest {
             interactive: None,
             rt_config: RtConfig::default(),
             timeline: None,
-            kernel_trace: false,
             observe: false,
             checked: sanitizer::env_checked(),
             mutation: None,
@@ -181,13 +179,6 @@ impl RunRequest {
     #[must_use]
     pub fn timeline(mut self, period: SimDuration) -> Self {
         self.timeline = Some(period);
-        self
-    }
-
-    /// Enables the kernel-activity trace (daemon activations etc.).
-    #[must_use]
-    pub fn kernel_trace(mut self) -> Self {
-        self.kernel_trace = true;
         self
     }
 
@@ -295,11 +286,10 @@ impl RunRequest {
 
     /// Whether this request's successful outcome can be persisted to (and
     /// replayed from) a completion journal: plain statistical runs only.
-    /// Timelines, kernel traces and structured event streams carry bulky
-    /// observational state the journal codec deliberately does not model.
+    /// Timelines and structured event streams carry bulky observational
+    /// state the journal codec deliberately does not model.
     pub fn journalable(&self) -> bool {
         self.timeline.is_none()
-            && !self.kernel_trace
             && !self.observe
             && !self.checked
             && self.mutation.is_none()
@@ -447,9 +437,6 @@ impl RunRequest {
         if let Some(period) = self.timeline {
             engine = engine.with_timeline(period);
         }
-        if self.kernel_trace {
-            engine = engine.with_kernel_trace();
-        }
         if self.observe {
             engine = engine.with_observability();
         }
@@ -548,7 +535,7 @@ impl RunRequest {
     /// Two requests that would simulate identically fingerprint
     /// identically; any field that could change the results is included.
     pub fn feed(&self, h: &mut Fnv1a) {
-        h.write_str("run_request/v3");
+        h.write_str("run_request/v4");
         // MachineConfig holds only plain scalar/struct fields, so its
         // `Debug` rendering is a deterministic value encoding (no
         // randomized map iteration anywhere in it).
@@ -592,7 +579,6 @@ impl RunRequest {
                 p.feed(h);
             }
         }
-        h.write_bool(self.kernel_trace);
         h.write_bool(self.observe);
         h.write_bool(self.checked);
         match self.mutation {
@@ -605,8 +591,8 @@ impl RunRequest {
         }
         self.fault_plan.feed(h);
         h.write_u64(self.reseed.map_or(u64::MAX, |s| s));
-        // Appended after the v3 fields, and ONLY when set, so every
-        // pre-existing request keeps its cached fingerprint.
+        // Written ONLY when set, so a plain request's fingerprint does not
+        // depend on these later axes.
         if !self.tenants.is_empty() {
             h.write_str("tenants");
             h.write_u64(self.tenants.len() as u64);
@@ -707,7 +693,6 @@ mod tests {
             .clone()
             .timeline(SimDuration::from_millis(1))
             .journalable());
-        assert!(!base.clone().kernel_trace().journalable());
         assert!(!base.clone().observe().journalable());
         assert!(!base.clone().checked().journalable());
         assert!(!base
@@ -759,7 +744,6 @@ mod tests {
             base().interactive(SimDuration::from_secs(4), None),
             base().interactive(SimDuration::from_secs(5), Some(12)),
             base().timeline(SimDuration::from_millis(250)),
-            base().kernel_trace(),
             base().observe(),
             base().checked(),
             base().mutate(SimTime::from_nanos(1), Mutation::LeakFrame),

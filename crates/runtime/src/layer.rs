@@ -40,6 +40,12 @@ use crate::policy::{ReleaseBuffers, ReleasePolicy};
 /// Cap on queued reactive eviction candidates produced by degradation.
 const DEGRADED_CAP: usize = 4096;
 
+/// Pages per eviction-candidate hand-off to the OS.
+const CANDIDATE_BATCH: usize = 128;
+
+/// Buffered pages at which [`ReleasePolicy::Reactive`] hands a batch over.
+const REACTIVE_HIGH_WATER: usize = 256;
+
 /// The 0–2 copies of one hint the fault front end lets through, held
 /// inline: `(vpn, npages or priority, tag)`.
 type HintCopies = std::iter::Take<std::array::IntoIter<(Vpn, u64, u32), 2>>;
@@ -442,20 +448,21 @@ impl RuntimeLayer {
         }
     }
 
-    /// Hands out buffered pages as OS eviction candidates (reactive mode).
-    pub fn take_candidates(&mut self, n: usize) -> Vec<Vpn> {
-        self.buffers.drain_lowest(n)
-    }
-
-    /// Suppressed release hints waiting to serve as reactive candidates.
-    pub fn degraded_pages(&self) -> usize {
-        self.degraded.len()
-    }
-
-    /// Hands out degraded-hint pages as OS eviction candidates.
-    pub fn take_degraded(&mut self, n: usize) -> Vec<Vpn> {
-        let n = n.min(self.degraded.len());
-        self.degraded.drain(..n).collect()
+    /// Takes the pages to offer the OS as eviction candidates after a
+    /// release hint, reactive ones first: under [`ReleasePolicy::Reactive`]
+    /// the 128 lowest-priority buffered pages once 256 are buffered, then
+    /// (under any policy) 128 suppressed hints once 128 are queued. Empty
+    /// when neither batch is due.
+    pub fn take_eviction_candidates(&mut self) -> Vec<Vpn> {
+        let mut out = Vec::new();
+        if self.policy == ReleasePolicy::Reactive && self.buffers.buffered() >= REACTIVE_HIGH_WATER
+        {
+            out = self.buffers.drain_lowest(CANDIDATE_BATCH);
+        }
+        if self.degraded.len() >= CANDIDATE_BATCH {
+            out.extend(self.degraded.drain(..CANDIDATE_BATCH));
+        }
+        out
     }
 
     /// End-of-program flush: everything still buffered is released.
@@ -1126,7 +1133,7 @@ mod tests {
                 window: 4,
                 disable_threshold: 0.5,
                 enable_threshold: 0.25,
-                probation: 100,
+                probation: 1000,
                 stream_disable_tags: 8,
             }),
             ..RtConfig::default()
@@ -1142,12 +1149,27 @@ mod tests {
         }
         assert!(rt.fault_log().count("tag_disabled") == 1, "tag 7 disabled");
         assert_eq!(rt.stats().misfires_cancelled, 3, "3 hints before disable");
-        // Further hints for the tag become reactive candidates.
-        let before = rt.degraded_pages();
+        // Further hints for the tag become reactive candidates, handed to
+        // the OS once a full batch has queued.
+        let before = rt.stats().hints_suppressed;
         let (out, _) = rt.on_release_hint(&vm, pid, t(3), r.start.offset(9), 0, 7);
         assert!(out.is_empty());
-        assert_eq!(rt.degraded_pages(), before + 1);
-        assert_eq!(rt.take_degraded(10).pop(), Some(r.start.offset(9)));
+        assert_eq!(rt.stats().hints_suppressed, before + 1);
+        assert!(rt.take_eviction_candidates().is_empty(), "batch not due");
+        for i in 0..2 * CANDIDATE_BATCH as u64 {
+            if rt.stats().hints_suppressed == CANDIDATE_BATCH as u64 {
+                break;
+            }
+            rt.on_release_hint(&vm, pid, t(3), r.start.offset(10 + i % 50), 0, 7);
+        }
+        let handed = rt.take_eviction_candidates();
+        assert_eq!(handed.len(), CANDIDATE_BATCH);
+        assert_eq!(
+            handed[before as usize],
+            r.start.offset(9),
+            "the suppressed page"
+        );
+        assert!(rt.take_eviction_candidates().is_empty(), "queue drained");
     }
 
     #[test]

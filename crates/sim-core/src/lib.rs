@@ -17,8 +17,6 @@
 //! * [`obs`] — structured observability: typed sim-time-stamped events, a
 //!   bounded flight recorder, the merged per-run event stream with JSONL /
 //!   Chrome-trace / Prometheus exporters, and the metrics registry.
-//! * [`trace`] — the free-form kernel-trace record, derived from [`obs`]
-//!   events for the CLI's text trace.
 //! * [`sanitizer`] / [`oracle`] — checked mode: typed invariant
 //!   violations raised by in-sim probes, the mutation self-test matrix,
 //!   and the naive lockstep reference model the live state is diffed
@@ -43,7 +41,6 @@ pub mod rng;
 pub mod sanitizer;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use pressure::PressureLevel;

@@ -1680,11 +1680,6 @@ impl VmSys {
         q.extend(vpns.iter().copied());
     }
 
-    /// Depth of a process's reactive candidate queue (diagnostics).
-    pub fn reactive_candidates(&self, pid: Pid) -> usize {
-        self.reactive.get(&pid).map_or(0, VecDeque::len)
-    }
-
     /// Whether `(pid, vpn)` is resident — inspection hook for invariant
     /// tests.
     pub fn page_resident_for_test(&self, pid: Pid, vpn: Vpn) -> bool {

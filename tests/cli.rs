@@ -1,6 +1,6 @@
-//! End-to-end tests for the `hogtame` CLI's `trace` and `stats`
-//! subcommands: exit codes on missing or malformed input, validity of the
-//! exported JSON artifacts, and byte-stable stats output across runs.
+//! End-to-end tests for the `hogtame` CLI's `run`, `trace`, `stats` and
+//! `fleet` subcommands: exit codes on missing or malformed input, validity
+//! of the exported JSON artifacts, and byte-stable output across runs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -156,6 +156,8 @@ fn missing_and_malformed_input_exits_2() {
         &["trace", "MATVEC", "--sleep"],      // flag missing its value
         &["stats", "MATVEC", "--sleep", "x"], // unparseable value
         &["trace", "MATVEC", "--bogus"],      // unknown flag
+        &["run"],                             // missing benchmark
+        &["run", "MATVEC", "--trace"],        // removed flag
     ];
     for args in cases {
         let out = hogtame(args, &dir);
@@ -176,6 +178,27 @@ fn missing_and_malformed_input_exits_2() {
     let out = hogtame(&["stats", "MATVEC", "Z"], &dir);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown version"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_prints_report_and_occupancy_chart() {
+    let dir = scratch("run");
+    let out = hogtame(&["run", "MATVEC", "R", "--sleep", "1", "--timeline"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("MATVEC-R:"), "report header: {stdout}");
+    assert!(stdout.contains("interactive:"), "co-run report: {stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("free") && l.contains(" |")),
+        "occupancy chart: {stdout}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

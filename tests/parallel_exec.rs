@@ -1,11 +1,12 @@
 //! The executor's core promise, end to end: parallel suite runs are
-//! bit-identical to the serial reference order, and the on-disk suite
-//! cache hands back byte-identical artifacts on a hit.
+//! bit-identical to the serial reference order, and the completion
+//! journal — the suite's only cross-process cache — hands back
+//! byte-identical artifacts on a hit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use hogtame::experiments::suite::{self, SuiteHandle, SUITE_TABLES};
+use hogtame::experiments::suite::{self, SUITE_TABLES};
 use hogtame::prelude::*;
 
 /// A fresh, process-unique scratch directory (no timestamps: tests must
@@ -44,52 +45,65 @@ fn parallel_suite_matches_serial_byte_for_byte() {
     }
 }
 
-/// A cache miss followed by a cache hit yields byte-identical tables, and
-/// the hit never re-runs the grid (same fingerprint, `from_cache` flips).
+/// A journal miss on four workers followed by a journal hit on one yields
+/// the serial reference's tables, and the hit re-runs nothing (the journal
+/// gains no record).
 #[test]
 fn suite_cache_hit_reproduces_miss_artifacts() {
-    let cache = scratch("cache");
+    let dir = scratch("journal");
+    let journal = Journal::at(&dir).expect("journal opens");
     let machine = MachineConfig::small();
     let benches = Some(&["MATVEC"][..]);
     let sleep = SimDuration::from_secs(1);
 
-    let miss = SuiteHandle::obtain_in(Some(&cache), &machine, benches, sleep, 2)
-        .expect("first obtain runs the grid");
-    assert!(!miss.from_cache(), "first obtain must be a miss");
+    let miss = suite::run_journaled(&machine, benches, sleep, 4, &journal)
+        .expect("first pass runs the grid");
+    let recorded = journal.len();
+    assert_eq!(recorded, suite::requests(&machine, benches, sleep).len());
 
-    let hit = SuiteHandle::obtain_in(Some(&cache), &machine, benches, sleep, 2)
-        .expect("second obtain loads the cache");
-    assert!(hit.from_cache(), "second obtain must hit the cache");
-    assert_eq!(miss.key(), hit.key(), "same grid, same fingerprint");
+    let hit = suite::run_journaled(&machine, benches, sleep, 1, &journal)
+        .expect("second pass replays the journal");
+    assert_eq!(journal.len(), recorded, "a hit journals nothing new");
 
+    let serial = small_suite(1);
     for (name, _) in SUITE_TABLES {
+        let reference = serial.table(name).expect("known table").to_csv();
         let a = miss.table(name).expect("known table").to_csv();
         let b = hit.table(name).expect("known table").to_csv();
-        assert_eq!(a, b, "{name} differs between cache miss and hit");
+        assert_eq!(
+            a, reference,
+            "{name} differs between journal miss and serial"
+        );
+        assert_eq!(
+            b, reference,
+            "{name} differs between journal hit and serial"
+        );
     }
-    std::fs::remove_dir_all(&cache).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Emitted artifacts are byte-identical between a cache miss and a hit:
+/// Emitted artifacts are byte-identical between a journal miss and a hit:
 /// the full write-out path, not just the in-memory tables.
 #[test]
 fn emitted_files_identical_across_cache_states() {
-    let cache = scratch("emit-cache");
+    let dir = scratch("emit-journal");
+    let journal = Journal::at(&dir).expect("journal opens");
     let machine = MachineConfig::small();
     let benches = Some(&["MATVEC"][..]);
     let sleep = SimDuration::from_secs(1);
 
     let mut dumps: Vec<Vec<(String, String)>> = Vec::new();
     for round in 0..2 {
-        let h = SuiteHandle::obtain_in(Some(&cache), &machine, benches, sleep, 2).expect("obtain");
-        assert_eq!(h.from_cache(), round == 1);
+        let before = journal.len();
+        let suite = suite::run_journaled(&machine, benches, sleep, 2, &journal).expect("runs");
+        assert_eq!(journal.len() == before, round == 1, "round 1 is a hit");
         let out = scratch(&format!("emit-{round}"));
         let mut files = Vec::new();
         for (name, title) in SUITE_TABLES {
-            let table = h.table(name).expect("known table");
+            let table = suite.table(name).expect("known table");
             Artifact::new(name, title)
                 .in_dir(&out)
-                .write_table(table)
+                .write_table(&table)
                 .expect("artifact write");
             let path = out.join(format!("{name}.csv"));
             files.push((
@@ -102,9 +116,9 @@ fn emitted_files_identical_across_cache_states() {
     }
     assert_eq!(
         dumps[0], dumps[1],
-        "artifact bytes differ across cache states"
+        "artifact bytes differ across journal states"
     );
-    std::fs::remove_dir_all(&cache).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The executor preserves request identity: outcomes land at their
