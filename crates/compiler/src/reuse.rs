@@ -12,7 +12,7 @@
 //!
 //! Indirect references have no statically analyzable reuse.
 
-use crate::ir::{ArrayDecl, ArrayRef, Index, LoopId, LoopNest};
+use crate::ir::{ArrayDecl, ArrayRef, LoopId, LoopNest};
 
 /// Reuse of one reference across the loops of its nest.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -76,15 +76,6 @@ pub fn analyze_nest(nest: &LoopNest, arrays: &[ArrayDecl], page_size: u64) -> Ve
         .iter()
         .map(|r| analyze_ref(nest, &arrays[r.array.0], r, page_size))
         .collect()
-}
-
-/// Returns true if `ix` depends on loop `l` (indirect indices are treated
-/// as depending on everything — conservatively unanalyzable).
-pub fn index_uses(ix: &Index, l: LoopId) -> bool {
-    match ix {
-        Index::Affine(a) => a.uses(l),
-        Index::Indirect { .. } => true,
-    }
 }
 
 #[cfg(test)]

@@ -10,30 +10,36 @@
 //! replayed grid is bit-identical to an uninterrupted one
 //! (`tests/resume_exec.rs` pins the suite CSVs byte for byte).
 //!
-//! The journal is the only on-disk store of run results. The fingerprint
-//! covers the request, not the simulator build, so a journal may only
-//! resume the build that wrote it: after a code change, clear it.
+//! The journal is the only on-disk store of run results. Every record
+//! names the simulator build that wrote it — a digest of the sources of
+//! every crate `hogtame` links, computed at compile time — so binaries of
+//! one build share records, and an edited build misses and re-runs.
 //!
 //! # Record format
 //!
 //! One file per request, `<fingerprint:016x>.run`:
 //!
 //! ```text
-//! hogtame-journal/v1 <fingerprint:016x> <payload-bytes>
+//! hogtame-journal/v2 <build:016x> <fingerprint:016x> <payload-bytes>
 //! <payload>
 //! ```
 //!
-//! The payload is a line-oriented encoding of the full [`RunOutcome`]
-//! (per-process breakdowns, sweeps, VM/lock/run-time statistics). The
-//! header's fingerprint and payload length are verified on read; any
-//! mismatch — truncation, corruption, a stale record for a different
-//! request — is treated as a missing record and the run is simply redone.
+//! The payload is a line-oriented encoding of the [`RunOutcome`]: every
+//! field of the per-process results and of the VM statistics. The
+//! header's build digest, fingerprint and payload length are verified on
+//! read; any mismatch — another build, truncation, corruption, a stale
+//! record for a different request — is treated as a missing record and
+//! the run is simply redone.
 //!
-//! Only *journalable* requests are recorded ([`RunRequest::journalable`]:
-//! no timeline, no event stream) and only when the run injected no faults
-//! (a non-empty fault log carries event payloads the codec does not
-//! model). Everything else re-runs on resume; correctness never depends
-//! on a record being present.
+//! A replay is exact or not attempted. Only *journalable* requests are
+//! recorded ([`RunRequest::journalable`]: no timeline, no event stream,
+//! no health monitor or admission control, no fleet, a registry
+//! benchmark) and only when the run injected no faults (a non-empty
+//! fault log carries event payloads the codec does not model). A
+//! replayed outcome omits the metrics registry, the event stream and the
+//! span report, which such requests do not ask for. Everything else
+//! re-runs on resume; correctness never depends on a record being
+//! present.
 //!
 //! # Enabling
 //!
@@ -57,7 +63,11 @@ use crate::engine::{ProcResult, RunResult};
 use crate::request::{RunOutcome, RunRequest};
 
 /// The journal format/version marker leading every record.
-const MAGIC: &str = "hogtame-journal/v1";
+const MAGIC: &str = "hogtame-journal/v2";
+
+// `BUILD_DIGEST`: the digest of this build's simulator sources, written
+// by `build.rs`.
+include!(concat!(env!("OUT_DIR"), "/build_digest.rs"));
 
 /// The journal directory selected by `HOGTAME_JOURNAL`, if journaling is
 /// enabled: `None` when unset/`0`/`off`/`no`; `results/.journal/` (under
@@ -115,15 +125,18 @@ impl Journal {
     }
 
     /// Loads the journaled outcome of `request`, verifying the record's
-    /// fingerprint and payload length. Any missing, truncated, corrupted,
-    /// or mismatched record is a silent miss (`None`) — the caller re-runs
-    /// the request.
+    /// build digest, fingerprint and payload length. Any missing,
+    /// truncated, corrupted, or mismatched record is a silent miss
+    /// (`None`) — the caller re-runs the request.
     pub fn load(&self, request: &RunRequest) -> Option<RunOutcome> {
         let fp = request.fingerprint();
         let raw = fs::read_to_string(self.record_path(fp)).ok()?;
         let (header, payload) = raw.split_once('\n')?;
         let mut fields = header.split_whitespace();
         if fields.next() != Some(MAGIC) {
+            return None;
+        }
+        if u64::from_str_radix(fields.next()?, 16).ok()? != BUILD_DIGEST {
             return None;
         }
         let stored_fp = u64::from_str_radix(fields.next()?, 16).ok()?;
@@ -152,7 +165,10 @@ impl Journal {
             return Ok(false);
         };
         let fp = request.fingerprint();
-        let record = format!("{MAGIC} {fp:016x} {}\n{payload}", payload.len());
+        let record = format!(
+            "{MAGIC} {BUILD_DIGEST:016x} {fp:016x} {}\n{payload}",
+            payload.len()
+        );
         let scratch = self
             .dir
             .join(format!(".tmp-{fp:016x}-{}", std::process::id()));
@@ -182,37 +198,67 @@ impl Journal {
     }
 }
 
-/// The run-time-layer counters in canonical journal order. Construction
-/// by exhaustive struct literal on decode keeps this list honest: a new
-/// `RtStats` field fails compilation here until the codec carries it.
-fn rt_stats_fields(s: &runtime::RtStats) -> [u64; 19] {
+/// The run-time-layer counters in canonical journal order. The
+/// exhaustive destructuring here and the exhaustive struct literal in
+/// [`rt_stats_from`] keep the codec honest: a new `RtStats` field fails
+/// compilation until the codec carries it.
+fn rt_stats_fields(s: &runtime::RtStats) -> [u64; 24] {
+    let runtime::RtStats {
+        prefetch_hints,
+        prefetch_filtered,
+        prefetch_issued,
+        release_hints,
+        release_same_page,
+        release_filtered_bitmap,
+        release_issued_direct,
+        release_buffered,
+        release_drained,
+        hints_dropped,
+        hints_delayed,
+        hints_duplicated,
+        hints_mistagged,
+        stale_reads,
+        hints_suppressed,
+        misfires_cancelled,
+        misfires_rescued,
+        misfires_useless_prefetch,
+        tags_retired,
+        prefetch_rejected,
+        release_rejected,
+        prefetch_advisory_dropped,
+        releases_verified,
+        prefetch_browned_out,
+    } = *s;
     [
-        s.prefetch_hints,
-        s.prefetch_filtered,
-        s.prefetch_issued,
-        s.release_hints,
-        s.release_same_page,
-        s.release_filtered_bitmap,
-        s.release_issued_direct,
-        s.release_buffered,
-        s.release_drained,
-        s.hints_dropped,
-        s.hints_delayed,
-        s.hints_duplicated,
-        s.hints_mistagged,
-        s.stale_reads,
-        s.hints_suppressed,
-        s.misfires_cancelled,
-        s.misfires_rescued,
-        s.misfires_useless_prefetch,
-        s.tags_retired,
+        prefetch_hints,
+        prefetch_filtered,
+        prefetch_issued,
+        release_hints,
+        release_same_page,
+        release_filtered_bitmap,
+        release_issued_direct,
+        release_buffered,
+        release_drained,
+        hints_dropped,
+        hints_delayed,
+        hints_duplicated,
+        hints_mistagged,
+        stale_reads,
+        hints_suppressed,
+        misfires_cancelled,
+        misfires_rescued,
+        misfires_useless_prefetch,
+        tags_retired,
+        prefetch_rejected,
+        release_rejected,
+        prefetch_advisory_dropped,
+        releases_verified,
+        prefetch_browned_out,
     ]
 }
 
 fn rt_stats_from(v: &[u64]) -> Option<runtime::RtStats> {
-    if v.len() != 19 {
-        return None;
-    }
+    let v: &[u64; 24] = v.try_into().ok()?;
     Some(runtime::RtStats {
         prefetch_hints: v[0],
         prefetch_filtered: v[1],
@@ -233,9 +279,11 @@ fn rt_stats_from(v: &[u64]) -> Option<runtime::RtStats> {
         misfires_rescued: v[16],
         misfires_useless_prefetch: v[17],
         tags_retired: v[18],
-        // Admission counters are not round-tripped: journalled runs never
-        // enable admission control (observational fields stay default).
-        ..Default::default()
+        prefetch_rejected: v[19],
+        release_rejected: v[20],
+        prefetch_advisory_dropped: v[21],
+        releases_verified: v[22],
+        prefetch_browned_out: v[23],
     })
 }
 
@@ -271,7 +319,6 @@ fn encode(outcome: &RunOutcome) -> Option<String> {
             run.swap_writes,
             run.final_free,
             run.end_time.as_nanos(),
-            run.fault_log.cap() as u64,
         ],
     );
     let role = |p: &Option<ProcResult>| match p {
@@ -284,17 +331,30 @@ fn encode(outcome: &RunOutcome) -> Option<String> {
         role(&outcome.interactive)
     ));
     let vs = &run.vm_stats;
+    let PagingdStats {
+        activations,
+        forced_activations,
+        frames_scanned,
+        invalidations,
+        pages_stolen,
+        writebacks,
+        reactive_steals,
+        quota_protected,
+        busy,
+    } = &vs.pagingd;
     push_nums(
         &mut out,
         "pagingd",
         &[
-            vs.pagingd.activations.get(),
-            vs.pagingd.frames_scanned.get(),
-            vs.pagingd.invalidations.get(),
-            vs.pagingd.pages_stolen.get(),
-            vs.pagingd.writebacks.get(),
-            vs.pagingd.reactive_steals.get(),
-            vs.pagingd.busy.as_nanos(),
+            activations.get(),
+            forced_activations.get(),
+            frames_scanned.get(),
+            invalidations.get(),
+            pages_stolen.get(),
+            writebacks.get(),
+            reactive_steals.get(),
+            quota_protected.get(),
+            busy.as_nanos(),
         ],
     );
     push_nums(
@@ -322,24 +382,42 @@ fn encode(outcome: &RunOutcome) -> Option<String> {
     );
     push_nums(&mut out, "vmprocs", &[vs.procs.len() as u64]);
     for p in &vs.procs {
+        let ProcStats {
+            soft_faults_daemon,
+            soft_faults_release,
+            prefetch_validates,
+            hard_faults,
+            zero_fills,
+            rescues,
+            pages_stolen,
+            pages_released,
+            prefetch_requests,
+            prefetch_discarded,
+            prefetch_redundant,
+            prefetch_quota_denied,
+            tlb_misses,
+            allocations,
+            peak_rss,
+        } = p;
         push_nums(
             &mut out,
             "vmproc",
             &[
-                p.soft_faults_daemon.get(),
-                p.soft_faults_release.get(),
-                p.prefetch_validates.get(),
-                p.hard_faults.get(),
-                p.zero_fills.get(),
-                p.rescues.get(),
-                p.pages_stolen.get(),
-                p.pages_released.get(),
-                p.prefetch_requests.get(),
-                p.prefetch_discarded.get(),
-                p.prefetch_redundant.get(),
-                p.tlb_misses.get(),
-                p.allocations.get(),
-                p.peak_rss,
+                soft_faults_daemon.get(),
+                soft_faults_release.get(),
+                prefetch_validates.get(),
+                hard_faults.get(),
+                zero_fills.get(),
+                rescues.get(),
+                pages_stolen.get(),
+                pages_released.get(),
+                prefetch_requests.get(),
+                prefetch_discarded.get(),
+                prefetch_redundant.get(),
+                prefetch_quota_denied.get(),
+                tlb_misses.get(),
+                allocations.get(),
+                *peak_rss,
             ],
         );
     }
@@ -430,14 +508,14 @@ impl<'a> Lines<'a> {
 fn decode(payload: &str) -> Option<RunOutcome> {
     let mut lines = Lines { rest: payload };
     let run_fields = lines.nums("run")?;
-    let [swap_reads, swap_writes, final_free, end_nanos, cap] = run_fields[..] else {
+    let [swap_reads, swap_writes, final_free, end_nanos] = run_fields[..] else {
         return None;
     };
     let hog_pid = decode_role(lines.text("hog")?)?;
     let int_pid = decode_role(lines.text("interactive")?)?;
 
     let pd = lines.nums("pagingd")?;
-    let [pa, pfs, pinv, pst, pwb, pre, pbusy] = pd[..] else {
+    let [pa, pforced, pfs, pinv, pst, pwb, pre, pquota, pbusy] = pd[..] else {
         return None;
     };
     let rl = lines.nums("releaser")?;
@@ -451,13 +529,14 @@ fn decode(payload: &str) -> Option<RunOutcome> {
     let vm_stats = VmStats {
         pagingd: PagingdStats {
             activations: counter(pa),
+            forced_activations: counter(pforced),
             frames_scanned: counter(pfs),
             invalidations: counter(pinv),
             pages_stolen: counter(pst),
             writebacks: counter(pwb),
             reactive_steals: counter(pre),
+            quota_protected: counter(pquota),
             busy: SimDuration::from_nanos(pbusy),
-            ..Default::default()
         },
         releaser: ReleaserStats {
             activations: counter(ra),
@@ -481,7 +560,8 @@ fn decode(payload: &str) -> Option<RunOutcome> {
             let mut procs = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 let v = lines.nums("vmproc")?;
-                let [sfd, sfr, pv, hf, zf, resc, ps, prel, pfq, pfd, pfr, tlb, alloc, peak] = v[..]
+                let [sfd, sfr, pv, hf, zf, resc, ps, prel, pfq, pfd, pfr, pqd, tlb, alloc, peak] =
+                    v[..]
                 else {
                     return None;
                 };
@@ -497,9 +577,7 @@ fn decode(payload: &str) -> Option<RunOutcome> {
                     prefetch_requests: counter(pfq),
                     prefetch_discarded: counter(pfd),
                     prefetch_redundant: counter(pfr),
-                    // Quota denials are only possible in tenant-quota
-                    // runs, which are never journalable.
-                    prefetch_quota_denied: counter(0),
+                    prefetch_quota_denied: counter(pqd),
                     tlb_misses: counter(tlb),
                     allocations: counter(alloc),
                     peak_rss: peak,
@@ -548,8 +626,8 @@ fn decode(payload: &str) -> Option<RunOutcome> {
             sweep_faults,
             finish_time: SimTime::from_nanos(finish),
             rt_stats,
-            // Health/admission breakdowns are observational; journalled
-            // runs never carry them.
+            // Requests with health monitoring or admission control are
+            // not journalable, so these are absent from every record.
             health_stats: None,
             admission_stats: None,
             lock_stats: LockStats {
@@ -593,7 +671,8 @@ fn decode(payload: &str) -> Option<RunOutcome> {
             final_free,
             end_time: SimTime::from_nanos(end_nanos),
             timeline: None,
-            fault_log: FaultLog::from_parts(cap as usize, 0, std::iter::empty(), Vec::new()),
+            // Only fault-free runs are journaled.
+            fault_log: FaultLog::default(),
             // Observability payloads are never journaled: observational
             // requests are not journalable at all, and the scalar metrics
             // of a plain run are cheap to regenerate by re-running.
@@ -638,52 +717,22 @@ mod tests {
             .interactive(SimDuration::from_secs(1), None)
     }
 
-    /// The keys the suite tables read from an outcome; byte-identity of
-    /// the CSVs follows from equality here.
-    fn key(o: &RunOutcome) -> String {
-        let proc_key = |p: &ProcResult| {
-            format!(
-                "{} pid={} fin={} ops={} bd={:?} sweeps={:?} faults={:?} lock=({},{},{},{}) rt={:?}",
-                p.name,
-                p.pid.0,
-                p.finish_time.as_nanos(),
-                p.ops_executed,
-                TimeCategory::ALL
-                    .iter()
-                    .map(|&c| p.breakdown.get(c).as_nanos())
-                    .collect::<Vec<_>>(),
-                p.sweeps,
-                p.sweep_faults,
-                p.lock_stats.acquisitions.get(),
-                p.lock_stats.contended.get(),
-                p.lock_stats.total_wait.as_nanos(),
-                p.lock_stats.total_hold.as_nanos(),
-                p.rt_stats.map(|s| rt_stats_fields(&s)),
-            )
-        };
+    /// Everything a replay reproduces, rendered for exact comparison.
+    fn replayable(o: &RunOutcome) -> String {
+        let r = &o.run;
         format!(
-            "run=({},{},{},{}) hog={:?} int={:?} procs={:?} pagingd=({},{},{}) rel={} freed=({},{},{},{}) vmprocs={:?}",
-            o.run.swap_reads,
-            o.run.swap_writes,
-            o.run.final_free,
-            o.run.end_time.as_nanos(),
-            o.hog.as_ref().map(proc_key),
-            o.interactive.as_ref().map(proc_key),
-            o.run.procs.iter().map(proc_key).collect::<Vec<_>>(),
-            o.run.vm_stats.pagingd.activations.get(),
-            o.run.vm_stats.pagingd.pages_stolen.get(),
-            o.run.vm_stats.pagingd.busy.as_nanos(),
-            o.run.vm_stats.releaser.pages_released.get(),
-            o.run.vm_stats.freed.freed_by_daemon.get(),
-            o.run.vm_stats.freed.freed_by_release.get(),
-            o.run.vm_stats.freed.rescued_daemon.get(),
-            o.run.vm_stats.freed.rescued_release.get(),
-            o.run
-                .vm_stats
-                .procs
-                .iter()
-                .map(|p| (p.hard_faults.get(), p.allocations.get(), p.peak_rss))
-                .collect::<Vec<_>>(),
+            "{:?} {:?} {:?} {:?} {} {} {} {} {:?} {:?} {:?}",
+            o.hog,
+            o.interactive,
+            r.procs,
+            r.vm_stats,
+            r.swap_reads,
+            r.swap_writes,
+            r.final_free,
+            r.end_time,
+            r.timeline,
+            r.fault_log,
+            r.fleet,
         )
     }
 
@@ -691,14 +740,17 @@ mod tests {
     fn outcome_round_trips_through_the_journal() {
         let dir = scratch("roundtrip");
         let journal = Journal::at(&dir).unwrap();
-        let req = request();
-        let out = req.run().unwrap();
         assert!(journal.is_empty());
-        assert!(journal.store(&req, &out).unwrap());
-        assert_eq!(journal.len(), 1);
-        let replayed = journal.load(&req).expect("record exists");
-        assert_eq!(key(&out), key(&replayed));
-        assert_eq!(replayed.run.fault_log.total(), 0);
+        for bench in ["MATVEC", "MGRID"] {
+            let req = RunRequest::on(MachineConfig::small())
+                .bench(bench, Version::Release)
+                .interactive(SimDuration::from_secs(1), None);
+            let out = req.run().unwrap();
+            assert!(journal.store(&req, &out).unwrap(), "{bench}");
+            let replayed = journal.load(&req).expect("record exists");
+            assert_eq!(replayable(&out), replayable(&replayed), "{bench}");
+        }
+        assert_eq!(journal.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -724,10 +776,23 @@ mod tests {
             "wrong-request record must miss"
         );
 
+        // Another build's record: the build digest in the header differs.
+        let (header, payload) = full.split_once('\n').unwrap();
+        let other_build = format!("{MAGIC} {:016x}", BUILD_DIGEST ^ 1);
+        let header = header.replacen(&format!("{MAGIC} {BUILD_DIGEST:016x}"), &other_build, 1);
+        fs::write(&path, format!("{header}\n{payload}")).unwrap();
+        assert!(
+            journal.load(&req).is_none(),
+            "another build's record must miss"
+        );
+
         // Garbage body with a consistent-looking header.
         fs::write(
             &path,
-            format!("{MAGIC} {:016x} 7\ngarbage", req.fingerprint()),
+            format!(
+                "{MAGIC} {BUILD_DIGEST:016x} {:016x} 7\ngarbage",
+                req.fingerprint()
+            ),
         )
         .unwrap();
         assert!(journal.load(&req).is_none(), "garbage payload must miss");

@@ -83,9 +83,7 @@ pub mod prelude {
     pub use crate::report::TextTable;
     pub use crate::request::{RunError, RunOutcome, RunRequest};
     pub use crate::scenario::Version;
-    pub use runtime::{
-        AdmissionConfig, AdmissionStats, BrownoutConfig, BrownoutStats, HealthConfig,
-    };
+    pub use runtime::{AdmissionConfig, AdmissionStats, BrownoutConfig, HealthConfig};
     pub use sim_core::fault::{
         AdversaryPlan, AdversaryStrategy, CrashComponent, CrashFaults, CrashSpec, DaemonFaults,
         ExecFaults, FaultKind, FaultLog, FaultPlan, HintFaults, IoFaults, SupervisorConfig,

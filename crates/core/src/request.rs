@@ -285,11 +285,16 @@ impl RunRequest {
     }
 
     /// Whether this request's successful outcome can be persisted to (and
-    /// replayed from) a completion journal: plain statistical runs only.
-    /// Timelines and structured event streams carry bulky observational
-    /// state the journal codec deliberately does not model.
+    /// replayed from) a completion journal: plain statistical runs of a
+    /// registry benchmark only. Timelines, structured event streams,
+    /// health and admission statistics and fleet results carry state the
+    /// journal codec deliberately does not model, and a custom spec is
+    /// fingerprinted only approximately.
     pub fn journalable(&self) -> bool {
         self.timeline.is_none()
+            && self.rt_config.health.is_none()
+            && self.rt_config.admission.is_none()
+            && !matches!(self.bench, Some((BenchSel::Spec(_), _)))
             && !self.observe
             && !self.checked
             && self.mutation.is_none()
@@ -500,23 +505,23 @@ impl RunRequest {
                 };
                 engine.vm_mut().set_tenant_quota(*pid, q);
             }
-            engine.enable_pressure(spec.pressure_period);
-            if spec.ladder {
-                // Scale the step-down dwell to wall-clock rather than
-                // sample count: ~250 ms of strictly-calmer samples
-                // (never fewer than the stock 3) before the ladder
-                // unwinds one rung. At fast sampling periods the stock
-                // count would unwind in single-digit milliseconds —
-                // before a storm's next wave — defeating the hysteresis.
+            // Scale the ladder's step-down dwell to wall-clock rather
+            // than sample count: ~250 ms of strictly-calmer samples
+            // (never fewer than the stock 3) before it unwinds one rung.
+            // At fast sampling periods the stock count would unwind in
+            // single-digit milliseconds — before a storm's next wave —
+            // defeating the hysteresis.
+            let ladder = spec.ladder.then(|| {
                 let stock = runtime::BrownoutConfig::default();
                 let dwell = SimDuration::from_millis(250).as_nanos();
                 let per = spec.pressure_period.as_nanos().max(1);
                 let calm = u32::try_from(dwell.div_ceil(per)).unwrap_or(u32::MAX);
-                engine.enable_brownout(runtime::BrownoutConfig {
+                runtime::BrownoutConfig {
                     calm_samples: calm.max(stock.calm_samples),
                     ..stock
-                });
-            }
+                }
+            });
+            engine.enable_overload_control(spec.pressure_period, ladder);
             if let Some(s) = spec.surge {
                 engine.set_surge_window(s.at, s.at + s.duration);
             }
@@ -530,8 +535,8 @@ impl RunRequest {
         })
     }
 
-    /// Feeds a canonical encoding of the request into `h` — the basis of
-    /// the on-disk artifact-cache keys (see [`crate::experiments::suite`]).
+    /// Feeds a canonical encoding of the request into `h` — the key of its
+    /// completion-journal record (see [`crate::journal`]).
     /// Two requests that would simulate identically fingerprint
     /// identically; any field that could change the results is included.
     pub fn feed(&self, h: &mut Fnv1a) {
@@ -551,9 +556,8 @@ impl RunRequest {
                     }
                     BenchSel::Spec(spec) => {
                         // Custom specs are fingerprinted structurally but
-                        // approximately; the artifact cache only ever keys
-                        // registry names, custom specs just need inequality
-                        // with high probability.
+                        // approximately: they are never journaled, so they
+                        // just need inequality with high probability.
                         h.write_str("spec");
                         h.write_str(&spec.name);
                         h.write_u64(spec.data_set_bytes());
@@ -696,8 +700,23 @@ mod tests {
         assert!(!base.clone().observe().journalable());
         assert!(!base.clone().checked().journalable());
         assert!(!base
+            .clone()
             .mutate(SimTime::from_nanos(1), Mutation::LeakFrame)
             .journalable());
+        for rt in [
+            RtConfig {
+                health: Some(runtime::HealthConfig::default()),
+                ..RtConfig::default()
+            },
+            RtConfig {
+                admission: Some(runtime::AdmissionConfig::default()),
+                ..RtConfig::default()
+            },
+        ] {
+            assert!(!base.clone().rt_config(rt).journalable());
+        }
+        let spec = workloads::benchmark("MATVEC").expect("registered");
+        assert!(!base.bench_spec(spec, Version::Original).journalable());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A single disk with FIFO service and head-position state.
 
-use sim_core::stats::{Counter, Histogram};
+use sim_core::stats::Counter;
 use sim_core::{SimDuration, SimTime};
 
 use crate::model::DiskParams;
@@ -31,7 +31,6 @@ pub struct Disk {
     /// Head position (block number) after the last queued request.
     head: u64,
     stats: DiskStats,
-    service_hist: Histogram,
 }
 
 impl Disk {
@@ -42,7 +41,6 @@ impl Disk {
             free_at: SimTime::ZERO,
             head: 0,
             stats: DiskStats::default(),
-            service_hist: Histogram::new(),
         }
     }
 
@@ -64,11 +62,6 @@ impl Disk {
     /// Accumulated statistics.
     pub fn stats(&self) -> &DiskStats {
         &self.stats
-    }
-
-    /// Histogram of per-request service times (positioning + transfer).
-    pub fn service_histogram(&self) -> &Histogram {
-        &self.service_hist
     }
 
     /// Computes when the *mechanical* part of a request for `block` would
@@ -118,7 +111,6 @@ impl Disk {
         self.stats.queue_wait += service_start.since(now);
         let service = completion.since(service_start);
         self.stats.busy += service;
-        self.service_hist.record(service);
         if is_write {
             self.stats.writes.bump();
         } else {

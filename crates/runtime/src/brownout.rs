@@ -21,15 +21,14 @@
 //! edge — re-enabled prefetches immediately re-create pressure, which
 //! would re-trip an edge-triggered controller on the next sample.
 //!
-//! Every ladder move is recorded as a
-//! [`FaultKind::BrownoutShift`] in the fault
-//! log (and therefore the flight recorder / event stream); sheds are
-//! recorded by the engine as [`FaultKind::TenantShed`]. Time spent at
-//! each rung is accounted in [`BrownoutStats::time_at_level`] for
-//! `hogtame stats`.
+//! The controller holds only the rung and its calm streak. Every ladder
+//! move is recorded as a [`FaultKind::BrownoutShift`] in the fault log
+//! (and therefore the flight recorder / event stream), which is where
+//! the engine counts transitions; the engine also sheds tenants (each a
+//! [`FaultKind::TenantShed`]) and clocks the time spent at each rung.
 
 use sim_core::fault::{FaultKind, FaultLog};
-use sim_core::{PressureLevel, SimDuration, SimTime};
+use sim_core::{PressureLevel, SimTime};
 
 /// Brownout ladder tunables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,19 +56,6 @@ impl Default for BrownoutConfig {
     }
 }
 
-/// Aggregate ladder counters (surfaced in `RunResult::fleet` and
-/// `hogtame stats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BrownoutStats {
-    /// Ladder moves in either direction.
-    pub transitions: u64,
-    /// Tenants shed at `Emergency`.
-    pub tenants_shed: u64,
-    /// Simulated time spent at each rung, indexed by
-    /// [`PressureLevel::index`]. Closed out by [`BrownoutController::finish`].
-    pub time_at_level: [SimDuration; 4],
-}
-
 /// The overload controller walking the degradation ladder (see module
 /// docs). Owned by the engine; one per run, shared by all tenants.
 #[derive(Clone, Debug)]
@@ -78,8 +64,6 @@ pub struct BrownoutController {
     level: PressureLevel,
     /// Consecutive samples strictly calmer than `level`.
     calm: u32,
-    since: SimTime,
-    stats: BrownoutStats,
 }
 
 impl BrownoutController {
@@ -89,19 +73,12 @@ impl BrownoutController {
             config,
             level: PressureLevel::Normal,
             calm: 0,
-            since: SimTime::ZERO,
-            stats: BrownoutStats::default(),
         }
     }
 
     /// The ladder rung currently in force.
     pub fn level(&self) -> PressureLevel {
         self.level
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> &BrownoutStats {
-        &self.stats
     }
 
     /// The admission-rate clamp shift for the current rung.
@@ -120,11 +97,6 @@ impl BrownoutController {
         } else {
             0
         }
-    }
-
-    /// Records `n` tenants actually shed by the engine.
-    pub fn note_shed(&mut self, n: u64) {
-        self.stats.tenants_shed += n;
     }
 
     /// Feeds one pressure sample. Escalates immediately to any higher
@@ -153,24 +125,16 @@ impl BrownoutController {
             return None;
         };
         let from = self.level;
-        self.stats.time_at_level[from.index()] += now - self.since;
-        self.since = now;
         self.level = to;
-        self.stats.transitions += 1;
         log.record(now, FaultKind::BrownoutShift { from, to });
         Some((from, to))
-    }
-
-    /// Closes the time-at-level accounting at the end of the run.
-    pub fn finish(&mut self, end: SimTime) {
-        self.stats.time_at_level[self.level.index()] += end - self.since;
-        self.since = end;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -194,7 +158,6 @@ mod tests {
         );
         assert_eq!(c.level(), PressureLevel::Emergency);
         assert_eq!(log.count("brownout_shift"), 1);
-        assert_eq!(c.stats().transitions, 1);
     }
 
     #[test]
@@ -224,23 +187,5 @@ mod tests {
         assert_eq!((c.clamp_shift(), c.shed_budget()), (2, 0));
         c.observe(t(2), PressureLevel::Emergency, &mut log);
         assert_eq!((c.clamp_shift(), c.shed_budget()), (4, 2));
-    }
-
-    #[test]
-    fn time_at_level_accounts_every_nanosecond() {
-        let mut c = ctrl();
-        let mut log = FaultLog::default();
-        c.observe(t(10), PressureLevel::Elevated, &mut log);
-        c.observe(t(25), PressureLevel::Critical, &mut log);
-        c.finish(t(40));
-        let s = c.stats();
-        assert_eq!(s.time_at_level[0], SimDuration::from_millis(10));
-        assert_eq!(s.time_at_level[1], SimDuration::from_millis(15));
-        assert_eq!(s.time_at_level[2], SimDuration::from_millis(15));
-        let total = s
-            .time_at_level
-            .iter()
-            .fold(SimDuration::ZERO, |a, &b| a + b);
-        assert_eq!(total, SimDuration::from_millis(40));
     }
 }

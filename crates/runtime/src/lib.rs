@@ -45,7 +45,7 @@ pub mod supervisor;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, AdmissionVerdict};
 pub use bindings::{ArrayBinding, Bindings, IndirectGen, TripSpec};
-pub use brownout::{BrownoutConfig, BrownoutController, BrownoutStats};
+pub use brownout::{BrownoutConfig, BrownoutController};
 pub use exec::Executor;
 pub use health::{HealthConfig, HealthStats, HintHealth};
 pub use layer::{RtConfig, RtStats, RuntimeLayer};

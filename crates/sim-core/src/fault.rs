@@ -672,40 +672,6 @@ impl FaultKind {
                 | FaultKind::OomKill { .. }
         )
     }
-
-    /// Maps a kind name back to its `'static` interned form, for readers
-    /// that reconstruct [`FaultLog`] counts from serialized records.
-    /// Returns `None` for names no known kind produces.
-    pub fn intern_name(name: &str) -> Option<&'static str> {
-        const KNOWN: &[&str] = &[
-            "hint_dropped",
-            "hint_duplicated",
-            "hint_mistagged",
-            "hint_delayed",
-            "stale_shared_read",
-            "releaser_jitter",
-            "pagingd_skew",
-            "limit_shrunk",
-            "io_transient",
-            "io_tail",
-            "tag_disabled",
-            "tag_probation",
-            "stream_disabled",
-            "stream_restored",
-            "component_crashed",
-            "crash_detected",
-            "restart_failed",
-            "component_restarted",
-            "component_abandoned",
-            "trust_demoted",
-            "trust_restored",
-            "state_reconciled",
-            "brownout_shift",
-            "tenant_shed",
-            "oom_kill",
-        ];
-        KNOWN.iter().find(|&&k| k == name).copied()
-    }
 }
 
 /// A timestamped [`FaultKind`].
@@ -749,28 +715,6 @@ impl FaultLog {
             counts: BTreeMap::new(),
             total: 0,
         }
-    }
-
-    /// Reassembles a log from previously-recorded parts — the inverse of
-    /// reading `events()`/`counts()`/`total()`, used by readers replaying
-    /// serialized run records (e.g. the executor's resume journal).
-    pub fn from_parts(
-        cap: usize,
-        total: u64,
-        counts: impl IntoIterator<Item = (&'static str, u64)>,
-        events: Vec<FaultEvent>,
-    ) -> Self {
-        FaultLog {
-            events,
-            cap,
-            counts: counts.into_iter().collect(),
-            total,
-        }
-    }
-
-    /// The verbatim-event cap this log was built with.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Records one event.
@@ -970,61 +914,5 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(flaky.any() && flaky.exec.any());
-    }
-
-    #[test]
-    fn crash_names_intern() {
-        for kind in [
-            FaultKind::ComponentCrashed {
-                component: CrashComponent::PrefetchPool,
-            },
-            FaultKind::CrashDetected {
-                component: CrashComponent::Releaser,
-                missed: 2,
-            },
-            FaultKind::RestartFailed {
-                component: CrashComponent::Releaser,
-                attempt: 1,
-                backoff: SimDuration::from_millis(10),
-            },
-            FaultKind::ComponentRestarted {
-                component: CrashComponent::HintLayer,
-                attempt: 2,
-            },
-            FaultKind::ComponentAbandoned {
-                component: CrashComponent::Releaser,
-                attempts: 6,
-            },
-            FaultKind::StateReconciled {
-                component: CrashComponent::Releaser,
-                orphaned: 1,
-                bitmap_fixups: 1,
-            },
-        ] {
-            assert_eq!(FaultKind::intern_name(kind.name()), Some(kind.name()));
-        }
-        assert_eq!(FaultKind::intern_name("no_such_kind"), None);
-    }
-
-    #[test]
-    fn log_from_parts_round_trips() {
-        let mut log = FaultLog::with_cap(8);
-        log.record(
-            SimTime::from_nanos(3),
-            FaultKind::ComponentCrashed {
-                component: CrashComponent::Releaser,
-            },
-        );
-        log.record(SimTime::from_nanos(9), FaultKind::StreamRestored);
-        let rebuilt = FaultLog::from_parts(
-            log.cap(),
-            log.total(),
-            log.counts().iter().map(|(&k, &v)| (k, v)),
-            log.events().to_vec(),
-        );
-        assert_eq!(rebuilt.total(), log.total());
-        assert_eq!(rebuilt.counts(), log.counts());
-        assert_eq!(rebuilt.events(), log.events());
-        assert_eq!(rebuilt.cap(), 8);
     }
 }

@@ -1,9 +1,9 @@
-//! Stable 64-bit fingerprinting for run descriptors and artifact caches.
+//! Stable 64-bit fingerprinting for run descriptors.
 //!
-//! The experiment executor keys its on-disk artifact cache by a
-//! fingerprint of the *request grid* that produced the artifacts. The
-//! fingerprint must therefore be stable across processes and across runs
-//! of different binaries compiled from the same source — which rules out
+//! The completion journal names each record by a fingerprint of the run
+//! request that produced it. The fingerprint must therefore be stable
+//! across processes and across runs of different binaries compiled from
+//! the same source — which rules out
 //! [`std::hash::Hash`] with the default randomized `RandomState`. This is
 //! a plain FNV-1a over a canonical field encoding instead: boring,
 //! dependency-free, and identical everywhere.
@@ -11,7 +11,7 @@
 //! Types describing a run implement [`Fingerprint`] by feeding their
 //! fields (tagged, in a fixed order) into a [`Fnv1a`] hasher. Collisions
 //! are harmless — a false *miss* recomputes, and a false *hit* would need
-//! a 64-bit collision between two grids someone actually runs.
+//! a 64-bit collision between two requests someone actually runs.
 
 /// The classic 64-bit FNV-1a hasher.
 #[derive(Clone, Debug)]

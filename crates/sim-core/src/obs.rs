@@ -678,11 +678,6 @@ impl Recorder {
         self.enabled = enabled;
     }
 
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event with no process/page attribution.
     #[inline]
     pub fn emit(&mut self, at: SimTime, kind: EventKind) {

@@ -9,7 +9,7 @@
 //! bookkeeping — per-process residency **sets**, the global clock hand,
 //! and the Eq. 1 upper-limit arithmetic — fed the exact event stream the
 //! PR 4 recorders already emit, and diffed against the live state at
-//! configurable intervals.
+//! every sweep.
 //!
 //! Naivety is the point. [`Oracle`] holds `BTreeSet`s and recomputes
 //! everything from scratch; it shares no code with `vm`, so a bug has to
@@ -62,44 +62,16 @@ pub struct Oracle {
     total_frames: u64,
     resident: BTreeMap<u32, BTreeSet<u64>>,
     hand: u64,
-    interval: u64,
-    ticks: u64,
 }
 
 impl Oracle {
-    /// A fresh oracle for a machine with `total_frames` physical frames,
-    /// diffed at every opportunity (interval 1).
+    /// A fresh oracle for a machine with `total_frames` physical frames.
     pub fn new(total_frames: u64) -> Self {
         Oracle {
             total_frames,
             resident: BTreeMap::new(),
             hand: 0,
-            interval: 1,
-            ticks: 0,
         }
-    }
-
-    /// Sets the diff interval: the oracle reports [`Oracle::due`] on
-    /// every `interval`-th tick. An interval of 0 is treated as 1.
-    #[must_use]
-    pub fn with_interval(mut self, interval: u64) -> Self {
-        self.interval = interval.max(1);
-        self
-    }
-
-    /// The diff interval configured by `HOGTAME_CHECK_INTERVAL` (default
-    /// 1 — diff at every sweep; larger values trade coverage for speed).
-    pub fn env_interval() -> u64 {
-        std::env::var("HOGTAME_CHECK_INTERVAL")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(1, |n| n.max(1))
-    }
-
-    /// Ticks the diff clock; true when a lockstep diff is owed now.
-    pub fn due(&mut self) -> bool {
-        self.ticks += 1;
-        self.ticks.is_multiple_of(self.interval)
     }
 
     /// Applies one page-attributed event to the residency model.
@@ -223,15 +195,5 @@ mod tests {
             queued: 0,
         });
         assert_eq!(o.hand(), 3);
-    }
-
-    #[test]
-    fn diff_interval_paces_due() {
-        let mut every = Oracle::new(1);
-        assert!(every.due() && every.due() && every.due());
-        let mut third = Oracle::new(1).with_interval(3);
-        let hits: Vec<bool> = (0..6).map(|_| third.due()).collect();
-        assert_eq!(hits, [false, false, true, false, false, true]);
-        assert_eq!(Oracle::new(1).with_interval(0).interval, 1);
     }
 }

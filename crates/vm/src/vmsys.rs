@@ -1285,8 +1285,7 @@ impl VmSys {
     pub fn set_checked(&mut self, enabled: bool) {
         self.checked = enabled;
         if enabled {
-            self.oracle =
-                Some(Oracle::new(self.frames.len() as u64).with_interval(Oracle::env_interval()));
+            self.oracle = Some(Oracle::new(self.frames.len() as u64));
             self.checked_hand = Some(self.pagingd.hand());
         } else {
             self.oracle = None;
@@ -1406,7 +1405,7 @@ impl VmSys {
                 ),
             );
         }
-        if self.oracle.as_mut().is_some_and(Oracle::due) {
+        if self.oracle.is_some() {
             self.checked_diff_oracle(now);
         }
     }

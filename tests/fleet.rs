@@ -266,3 +266,36 @@ fn tail_digest_matches_exact_sort_oracle() {
         assert_eq!(digest.count(), n as u64);
     }
 }
+
+/// The overload clock, pinned for both arms of the demonstration storm:
+/// simulated nanoseconds at each applied level (the ladder rung when it
+/// is armed, the raw monitor grade when it is not), ladder moves, and
+/// the level the run ended at.
+#[test]
+fn storm_overload_clock_is_pinned() {
+    for (ladder, nanos, transitions) in [
+        (
+            true,
+            [15_829_304_976, 63_524_000_000, 900_000_000, 1_000_000_000],
+            30,
+        ),
+        (
+            false,
+            [61_723_908_127, 10_512_000_000, 892_000_000, 11_342_000_000],
+            0,
+        ),
+    ] {
+        let out = RunRequest::on(MachineConfig::small())
+            .fleet(FleetSpec::storm_demo(ladder))
+            .run()
+            .expect("storm runs");
+        let f = out.run.fleet.as_ref().expect("fleet stats present");
+        assert_eq!(
+            f.time_at_level.map(|d| d.as_nanos()),
+            nanos,
+            "ladder {ladder}"
+        );
+        assert_eq!(f.brownout_transitions, transitions, "ladder {ladder}");
+        assert_eq!(f.final_level, PressureLevel::Normal, "ladder {ladder}");
+    }
+}
