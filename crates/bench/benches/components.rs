@@ -57,6 +57,29 @@ fn bench_touch_paths() {
         });
     }
 
+    // TLB-miss path: a cyclic sweep over twice the 64-entry TLB's reach
+    // of resident, valid pages misses on every touch under FIFO.
+    {
+        let mut vm = VmSys::new(
+            256,
+            Tunables::for_memory(256),
+            CostParams::default(),
+            disk::SwapConfig::test_array(),
+        );
+        let pid = vm.add_process(false);
+        let r = vm.map_region(pid, 128, Backing::ZeroFill, false);
+        let mut now = SimTime::from_nanos(1);
+        for i in 0..128 {
+            now = vm.touch(now, pid, r.start.offset(i), false).done_at;
+        }
+        let mut i = 0u64;
+        bench("vm-touch tlb-miss", || {
+            let res = vm.touch(now, pid, r.start.offset(i % 128), false);
+            i += 1;
+            black_box(res.kind);
+        });
+    }
+
     // Hard-fault path including daemon-forced reclaim (steady-state churn).
     {
         let mut vm = VmSys::new(
@@ -141,16 +164,18 @@ fn bench_compiler_pass() {
     });
 }
 
-fn bench_executor() {
+/// Drains the first 20k ops of `name`'s prefetch+release build: one
+/// iteration of each bench below is one 20k-op drain.
+fn bench_executor_ops(label: &str, name: &str) {
     use runtime::{Executor, OpStream};
-    let spec = workloads::benchmark("MATVEC").unwrap();
+    let spec = workloads::benchmark(name).unwrap();
     let opts = compiler::CompileOptions::prefetch_and_release(compiler::MachineModel::origin200());
     let prog = compiler::compile(&spec.source, &opts);
     let bases: Vec<vm::Vpn> = (0..spec.arrays.len() as u64)
         .map(|i| vm::Vpn(0x1000 + i * 0x100_0000))
         .collect();
     let bind = spec.bindings(&bases, 16 * 1024);
-    bench("executor matvec 20k ops", || {
+    bench(label, || {
         let mut ex = Executor::new(prog.clone(), bind.clone());
         let mut n = 0u64;
         for _ in 0..20_000 {
@@ -161,6 +186,15 @@ fn bench_executor() {
         }
         black_box(n);
     });
+}
+
+fn bench_executor() {
+    bench_executor_ops("executor matvec 20k ops", "MATVEC");
+    // BUK's first nest is the rank scatter `rank[key[i]]`: every
+    // iteration gathers from a random page.
+    bench_executor_ops("executor gather 20k ops (BUK rank-scatter)", "BUK");
+    // MGRID's first nest is `resid`, a seven-point 3-D stencil.
+    bench_executor_ops("executor stencil 20k ops (MGRID resid)", "MGRID");
 }
 
 fn main() {

@@ -3,6 +3,7 @@ use hogtame::experiments::suite;
 use hogtame::prelude::*;
 
 fn main() -> Result<(), SuiteError> {
-    suite::run(&MachineConfig::origin200(), None, SimDuration::from_secs(5))?.emit("fig07");
+    let (machine, benches) = bench::suite_target();
+    suite::run(&machine, benches, SimDuration::from_secs(5))?.emit("fig07");
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! * `HOGTAME_JOBS` — worker count for the parallel executor (defaults to
 //!   the machine's available parallelism).
 //! * `HOGTAME_MACHINE=small` — run on the scaled-down machine with MATVEC
-//!   only (the CI smoke configuration).
+//!   only (the CI smoke configuration; see `bench::suite_target`).
 //! * `HOGTAME_RESULTS` — artifact directory (default `results/`).
 //! * `HOGTAME_JOURNAL` — completion journal (`1` = `<results>/.journal/`);
 //!   a rerun of the same build replays the journaled suite cells.
@@ -13,13 +13,7 @@ use hogtame::experiments::{fig01, fig05, fig10a, suite, tables};
 use hogtame::prelude::*;
 
 fn main() -> Result<(), SuiteError> {
-    let small = std::env::var("HOGTAME_MACHINE").is_ok_and(|v| v.eq_ignore_ascii_case("small"));
-    let machine = if small {
-        MachineConfig::small()
-    } else {
-        MachineConfig::origin200()
-    };
-    let benches: Option<&[&str]> = if small { Some(&["MATVEC"]) } else { None };
+    let (machine, benches) = bench::suite_target();
     let jobs = exec::jobs();
     let t0 = std::time::Instant::now();
 

@@ -9,6 +9,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use hogtame::MachineConfig;
+
+/// The machine and benchmarks the co-run suite runs on, shared by `repro`
+/// and every per-figure suite binary so that all of them simulate (and
+/// journal) the same grid cells. `HOGTAME_MACHINE=small` selects the
+/// scaled-down machine with MATVEC only (the CI smoke configuration);
+/// otherwise the full Origin 200 with every benchmark. The benchmark
+/// filter is `None` for all of them, as `suite::run` takes it.
+pub fn suite_target() -> (MachineConfig, Option<&'static [&'static str]>) {
+    let small = std::env::var("HOGTAME_MACHINE").is_ok_and(|v| v.eq_ignore_ascii_case("small"));
+    if small {
+        (MachineConfig::small(), Some(&["MATVEC"]))
+    } else {
+        (MachineConfig::origin200(), None)
+    }
+}
+
 /// A minimal self-timing micro-benchmark harness.
 ///
 /// The workspace builds offline with no external bench framework, so the

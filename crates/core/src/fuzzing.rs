@@ -696,7 +696,7 @@ mod tests {
         // The minimized program is still valid and still runs clean
         // through the spec assembly.
         let spec = workloads::fuzz::from_gen(min);
-        spec.validate();
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

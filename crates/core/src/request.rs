@@ -34,7 +34,7 @@ use sim_core::fingerprint::{Fingerprint, Fnv1a};
 use sim_core::sanitizer::{self, Mutation};
 use sim_core::{SimDuration, SimTime};
 use vm::{Pid, TenantQuota};
-use workloads::{BenchSpec, FleetSpec};
+use workloads::{BenchSpec, FleetSpec, SpecError};
 
 use crate::engine::{Engine, ProcResult, RunResult};
 use crate::machine::MachineConfig;
@@ -53,6 +53,10 @@ pub enum RunError {
     /// zero or inverted memory limits) — caught by [`RunRequest::validate`]
     /// before it can surface as a deep engine panic.
     InvalidMachine(String),
+    /// A caller-built benchmark spec does not match its program (see
+    /// [`BenchSpec::validate`]) — caught by [`RunRequest::validate`]
+    /// before the executor could panic on it.
+    InvalidBench(SpecError),
     /// The per-tenant quota configuration is malformed (a zero guaranteed
     /// share, or guarantees that together exceed physical memory) —
     /// caught by [`RunRequest::validate`].
@@ -77,6 +81,7 @@ impl std::fmt::Display for RunError {
             RunError::UnknownBenchmark(name) => write!(f, "unknown benchmark {name}"),
             RunError::Empty => write!(f, "empty run request (no benchmark, no interactive task)"),
             RunError::InvalidMachine(why) => write!(f, "invalid machine: {why}"),
+            RunError::InvalidBench(why) => write!(f, "invalid benchmark spec: {why}"),
             RunError::InvalidTenants(why) => write!(f, "invalid tenant quotas: {why}"),
             RunError::InvalidAdversary(why) => write!(f, "invalid adversary plan: {why}"),
             RunError::InvalidFleet(why) => write!(f, "invalid fleet spec: {why}"),
@@ -304,14 +309,17 @@ impl RunRequest {
     }
 
     /// Validates the request without running it: a malformed machine
-    /// description (zero page counts, zero or inverted memory limits)
-    /// surfaces as a typed [`RunError::InvalidMachine`] here instead of a
-    /// panic deep inside the engine.
+    /// description (zero page counts, a page size that is not a power of
+    /// two, zero or inverted memory limits) or a custom benchmark spec
+    /// that does not match its program surfaces as a typed error here
+    /// instead of a panic deep inside the engine.
     ///
     /// # Errors
     ///
-    /// [`RunError::Empty`] for a request naming no workload at all, and
-    /// [`RunError::InvalidMachine`] for an unsimulatable machine.
+    /// [`RunError::Empty`] for a request naming no workload at all,
+    /// [`RunError::InvalidMachine`] for an unsimulatable machine,
+    /// [`RunError::InvalidBench`] for an inconsistent custom spec, and the
+    /// tenant, adversary and fleet errors for those axes.
     pub fn validate(&self) -> Result<(), RunError> {
         if self.bench.is_none() && self.interactive.is_none() && self.fleet.is_none() {
             return Err(RunError::Empty);
@@ -322,8 +330,12 @@ impl RunRequest {
                 "zero physical frames",
             )));
         }
-        if m.page_size == 0 {
-            return Err(RunError::InvalidMachine(String::from("zero page size")));
+        if !m.page_size.is_power_of_two() {
+            // The executor maps offsets to pages with a shift.
+            return Err(RunError::InvalidMachine(format!(
+                "page size {} is not a power of two",
+                m.page_size
+            )));
         }
         if m.prefetch_threads == 0 {
             return Err(RunError::InvalidMachine(String::from(
@@ -347,6 +359,9 @@ impl RunRequest {
                 "target_freemem {} exceeds the machine's {} frames",
                 t.target_freemem, m.frames
             )));
+        }
+        if let Some((BenchSel::Spec(spec), _)) = &self.bench {
+            spec.validate().map_err(RunError::InvalidBench)?;
         }
         for (i, q) in self.tenants.iter().enumerate() {
             if q.guaranteed == 0 {
@@ -665,6 +680,12 @@ mod tests {
         zero_pages.page_size = 0;
         assert!(matches!(base(zero_pages), RunError::InvalidMachine(_)));
 
+        let mut odd_pages = MachineConfig::small();
+        odd_pages.page_size = 12 * 1024;
+        let err = base(odd_pages);
+        assert!(matches!(err, RunError::InvalidMachine(_)));
+        assert!(err.to_string().contains("power of two"), "err: {err}");
+
         let mut no_threads = MachineConfig::small();
         no_threads.prefetch_threads = 0;
         assert!(matches!(base(no_threads), RunError::InvalidMachine(_)));
@@ -687,6 +708,58 @@ mod tests {
             .interactive(SimDuration::from_secs(1), Some(1))
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn malformed_bench_specs_are_typed_errors_not_panics() {
+        use runtime::TripSpec;
+        let run = |edit: &dyn Fn(&mut BenchSpec)| {
+            // MGRID: two nests of three loops over unknown bounds.
+            let mut spec = workloads::benchmark("MGRID").expect("registered");
+            edit(&mut spec);
+            RunRequest::on(MachineConfig::small())
+                .bench_spec(spec, Version::Buffered)
+                .run()
+                .map(|_| ())
+        };
+        let invalid = |edit: &dyn Fn(&mut BenchSpec), want: SpecError| {
+            assert_eq!(run(edit), Err(RunError::InvalidBench(want)));
+        };
+        invalid(&|s| s.arrays.truncate(2), SpecError::ArrayCount(3, 2));
+        invalid(
+            &|s| s.arrays[1].dims.truncate(2),
+            SpecError::Rank("v".into()),
+        );
+        invalid(
+            &|s| s.arrays[0].elem_size = 4,
+            SpecError::ElemSize("u".into()),
+        );
+        invalid(&|s| s.trips.truncate(1), SpecError::NestCount(2, 1));
+        invalid(
+            &|s| s.trips[1].truncate(2),
+            SpecError::LoopCount("psinv".into()),
+        );
+        invalid(
+            &|s| s.trips[0][2] = TripSpec::Cycle(Vec::new()),
+            SpecError::EmptyCycle("resid".into(), 2),
+        );
+        invalid(
+            &|s| s.trips[1][0] = TripSpec::Static,
+            SpecError::StaticUnknownBound("psinv".into(), 0),
+        );
+        invalid(&|s| s.invocations = 0, SpecError::ZeroInvocations);
+        // A reference with one index into a rank-3 array: the program
+        // itself is malformed.
+        let err = run(&|s| s.source.nests[0].refs[0].indices.truncate(1)).unwrap_err();
+        assert!(
+            matches!(err, RunError::InvalidBench(SpecError::Program(_))),
+            "err: {err}"
+        );
+        // The registry benchmarks are consistent.
+        for b in workloads::all_benchmarks() {
+            let req = RunRequest::on(MachineConfig::small()).bench_spec(b, Version::Original);
+            assert_eq!(req.validate(), Ok(()));
+        }
     }
 
     #[test]

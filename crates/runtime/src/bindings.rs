@@ -113,29 +113,6 @@ pub struct Bindings {
 }
 
 impl Bindings {
-    /// Linearized element offset of `indices` within array `a` (row-major,
-    /// indices clamped into the array's extents). Takes one index per
-    /// dimension, outermost first.
-    pub fn linearize(&self, a: ArrayId, indices: impl IntoIterator<Item = i64>) -> i64 {
-        let b = &self.arrays[a.0];
-        let mut linear: i64 = 0;
-        let mut rank = 0;
-        for (d, ix) in indices.into_iter().enumerate() {
-            let extent = b.dims[d].max(1);
-            linear = linear * extent + ix.clamp(0, extent - 1);
-            rank = d + 1;
-        }
-        debug_assert_eq!(rank, b.dims.len(), "one index per dimension");
-        linear
-    }
-
-    /// The page holding element offset `linear` of array `a`.
-    pub fn page_of(&self, a: ArrayId, linear: i64) -> Vpn {
-        let b = &self.arrays[a.0];
-        let byte = linear.max(0) as u64 * b.elem_size;
-        Vpn(b.base_vpn.0 + byte / self.page_size)
-    }
-
     /// Last valid page of array `a`.
     pub fn last_page(&self, a: ArrayId) -> Vpn {
         let b = &self.arrays[a.0];
@@ -147,43 +124,21 @@ impl Bindings {
 mod tests {
     use super::*;
 
-    fn binding2d() -> Bindings {
-        Bindings {
+    #[test]
+    fn last_page_rounds_the_array_up_to_whole_pages() {
+        let b = Bindings {
             arrays: vec![ArrayBinding {
                 base_vpn: Vpn(100),
-                dims: vec![10, 2048], // rows of exactly one 16 KB page (f64)
+                dims: vec![10, 2049],
                 elem_size: 8,
             }],
             indirect: HashMap::new(),
             page_size: 16 * 1024,
             trips: vec![],
             invocations: 1,
-        }
-    }
-
-    #[test]
-    fn linearize_row_major() {
-        let b = binding2d();
-        assert_eq!(b.linearize(ArrayId(0), [0, 0]), 0);
-        assert_eq!(b.linearize(ArrayId(0), [0, 5]), 5);
-        assert_eq!(b.linearize(ArrayId(0), [1, 0]), 2048);
-        assert_eq!(b.linearize(ArrayId(0), [2, 3]), 4099);
-    }
-
-    #[test]
-    fn linearize_clamps_out_of_range() {
-        let b = binding2d();
-        assert_eq!(b.linearize(ArrayId(0), [-5, 0]), 0);
-        assert_eq!(b.linearize(ArrayId(0), [0, 9999]), 2047);
-    }
-
-    #[test]
-    fn page_mapping() {
-        let b = binding2d();
-        assert_eq!(b.page_of(ArrayId(0), 0), Vpn(100));
-        assert_eq!(b.page_of(ArrayId(0), 2047), Vpn(100));
-        assert_eq!(b.page_of(ArrayId(0), 2048), Vpn(101));
-        assert_eq!(b.last_page(ArrayId(0)), Vpn(109));
+        };
+        // 10 × 2049 f64 spill 80 bytes past ten 16 KB pages.
+        assert_eq!(b.last_page(ArrayId(0)), Vpn(110));
     }
 
     #[test]

@@ -18,17 +18,217 @@
 //! * each page entry of a released reference emits a release hint for the
 //!   *current* page — the run-time layer's one-behind tag filter turns that
 //!   into a release of the page just vacated, exactly as in the paper.
+//!
+//! The program is compiled once, when the executor is built, into a flat
+//! *access plan*: per reference its array's base and last page, element
+//! size, innermost byte step and directives; per index dimension its
+//! extent, row-major stride, affine terms and resolved indirection
+//! generator. Each reference is evaluated through its plan once per
+//! visited position, and both the page-change check and the fast-forward
+//! read that one evaluation. The page size is a power of two, so a page
+//! number is a shift and an in-page offset a mask.
 
-use std::collections::VecDeque;
+use std::ops::Range;
 
-use compiler::expr::Affine;
-use compiler::ir::{ArrayId, ArrayRef, Index, LoopId};
-use compiler::AnnotatedProgram;
+use compiler::expr::Bound;
+use compiler::ir::{Index, LoopId};
+use compiler::{AnnotatedProgram, RefDirectives};
 use sim_core::SimDuration;
 use vm::Vpn;
 
-use crate::bindings::{Bindings, IndirectGen};
+use crate::bindings::{Bindings, IndirectGen, TripSpec};
 use crate::ops::{Mark, Op, OpStream};
+
+/// One index dimension compiled against its array's binding. It adds
+/// `clamp(constant + Σ coeff·iv, 0, max) · stride` to the reference's
+/// linear element offset; for an indirection `a[b[sub]]` the affine part
+/// is `sub`, first clamped into `b` and mapped through `b`'s contents.
+#[derive(Clone, Debug)]
+struct DimPlan {
+    constant: i64,
+    /// This dimension's `(loop depth, coefficient)` terms in [`Plan::terms`].
+    terms: Range<usize>,
+    /// Coefficient of the innermost loop: the step per iteration ahead.
+    inner: i64,
+    /// Highest valid index (`extent - 1`).
+    max: i64,
+    /// Row-major stride in elements.
+    stride: i64,
+    via: Option<Via>,
+}
+
+/// The index array of an indirection.
+#[derive(Clone, Copy, Debug)]
+struct Via {
+    /// Highest valid subscript into the index array.
+    max: i64,
+    /// The index array's contents; `None` is the identity.
+    gen: Option<IndirectGen>,
+}
+
+/// One reference compiled against its array's binding.
+#[derive(Clone, Debug)]
+struct RefPlan {
+    /// This reference's dimensions in [`Plan::dims`].
+    dims: Range<usize>,
+    base: u64,
+    /// The array's last page.
+    last_page: u64,
+    elem_size: u64,
+    /// Highest linear element offset of the array.
+    max_linear: i64,
+    /// Bytes the reference moves per innermost iteration; `None` when an
+    /// index is indirect.
+    inner_delta: Option<i64>,
+    /// At most one index moves with the innermost loop, so the reference
+    /// moves by `inner_delta` per iteration until an edge stops it. With
+    /// two or more moving indices, one clamping at an edge can change the
+    /// reference's speed and even its direction, so the fast-forward does
+    /// not look ahead.
+    uniform: bool,
+    /// The compiler saw every index as affine, so a prefetch follows the
+    /// stream rather than looking ahead through `a[b[i + D]]`.
+    seen_affine: bool,
+    write: bool,
+    dir: RefDirectives,
+}
+
+/// One nest: its loops, its references and the tags it retires.
+#[derive(Clone, Debug)]
+struct NestPlan {
+    /// Compile-time bound and run-time trip spec per loop, outermost first.
+    loops: Vec<(Bound, TripSpec)>,
+    /// This nest's references in [`Plan::refs`].
+    refs: Range<usize>,
+    work_ns: u64,
+    /// Release tags that go out of scope when the nest exits, each once.
+    retire: Vec<u32>,
+}
+
+/// The whole program compiled against its bindings.
+#[derive(Clone, Debug)]
+struct Plan {
+    terms: Vec<(usize, i64)>,
+    dims: Vec<DimPlan>,
+    refs: Vec<RefPlan>,
+    nests: Vec<NestPlan>,
+    page_shift: u32,
+    invocations: u32,
+}
+
+impl Plan {
+    fn new(prog: &AnnotatedProgram, bind: &Bindings) -> Self {
+        let elems: Vec<i64> = bind
+            .arrays
+            .iter()
+            .map(|b| b.dims.iter().product())
+            .collect();
+        let mut plan = Plan {
+            terms: Vec::new(),
+            dims: Vec::new(),
+            refs: Vec::new(),
+            nests: Vec::with_capacity(prog.nests.len()),
+            page_shift: bind.page_size.trailing_zeros(),
+            invocations: bind.invocations,
+        };
+        for (nest, trips) in prog.nests.iter().zip(&bind.trips) {
+            let inner = LoopId(nest.nest.loops.len().saturating_sub(1));
+            let first_ref = plan.refs.len();
+            for (r, dir) in nest.nest.refs.iter().zip(&nest.directives) {
+                let b = &bind.arrays[r.array.0];
+                let first_dim = plan.dims.len();
+                let mut stride: i64 = 1;
+                let mut delta = Some(0i64);
+                // Innermost dimension first: the strides build outward.
+                for (d, ix) in r.indices.iter().enumerate().rev() {
+                    let (affine, via) = match ix {
+                        Index::Affine(a) => (a, None),
+                        Index::Indirect { via, subscript } => (
+                            subscript,
+                            Some(Via {
+                                max: elems[via.0].max(1) - 1,
+                                gen: bind.indirect.get(via).copied(),
+                            }),
+                        ),
+                    };
+                    let first_term = plan.terms.len();
+                    plan.terms
+                        .extend(affine.terms.iter().map(|&(l, c)| (l.0, c)));
+                    let extent = b.dims[d].max(1);
+                    let step = affine.coeff(inner);
+                    delta = delta.filter(|_| via.is_none()).map(|db| db + step * stride);
+                    plan.dims.push(DimPlan {
+                        constant: affine.constant,
+                        terms: first_term..plan.terms.len(),
+                        inner: step,
+                        max: extent - 1,
+                        stride,
+                        via,
+                    });
+                    stride *= extent;
+                }
+                let moving = plan.dims[first_dim..]
+                    .iter()
+                    .filter(|d| d.inner != 0)
+                    .count();
+                plan.refs.push(RefPlan {
+                    dims: first_dim..plan.dims.len(),
+                    base: b.base_vpn.0,
+                    last_page: bind.last_page(r.array).0,
+                    elem_size: b.elem_size,
+                    max_linear: elems[r.array.0] - 1,
+                    inner_delta: delta.map(|db| db * b.elem_size as i64),
+                    uniform: moving <= 1,
+                    seen_affine: r.fully_affine(),
+                    write: r.is_write,
+                    dir: *dir,
+                });
+            }
+            let mut retire: Vec<u32> = Vec::new();
+            for rel in nest.directives.iter().filter_map(|d| d.release) {
+                if !retire.contains(&rel.tag) {
+                    retire.push(rel.tag);
+                }
+            }
+            plan.nests.push(NestPlan {
+                loops: nest
+                    .nest
+                    .loops
+                    .iter()
+                    .map(|l| l.count)
+                    .zip(trips.iter().cloned())
+                    .collect(),
+                refs: first_ref..plan.refs.len(),
+                work_ns: nest.nest.work_per_iter_ns,
+                retire,
+            });
+        }
+        plan
+    }
+
+    /// Linear element offset of `r`, `ahead` innermost iterations past
+    /// the position `ivs` (indices clamped into the array's extents).
+    fn linear(&self, r: &RefPlan, ivs: &[i64], ahead: i64) -> i64 {
+        let mut linear = 0;
+        for d in &self.dims[r.dims.clone()] {
+            let mut v = d.constant + d.inner * ahead;
+            for &(l, c) in &self.terms[d.terms.clone()] {
+                v += c * ivs[l];
+            }
+            if let Some(via) = d.via {
+                let sub = v.clamp(0, via.max);
+                v = via.gen.map_or(sub, |g| g.value(sub));
+            }
+            linear += v.clamp(0, d.max) * d.stride;
+        }
+        linear
+    }
+
+    /// The page holding element offset `linear` of `r`'s array.
+    fn page(&self, r: &RefPlan, linear: i64) -> Vpn {
+        Vpn(r.base + ((linear.max(0) as u64 * r.elem_size) >> self.page_shift))
+    }
+}
 
 /// The resumable program executor.
 ///
@@ -71,25 +271,26 @@ use crate::ops::{Mark, Op, OpStream};
 /// assert_eq!(touches, 2);
 /// ```
 pub struct Executor {
-    prog: AnnotatedProgram,
-    bind: Bindings,
-    /// `bind.indirect` resolved per `ArrayId`.
-    indirect: Vec<Option<IndirectGen>>,
-    /// Element count (product of the extents) per `ArrayId`.
-    elems: Vec<i64>,
+    plan: Plan,
     invocation: u32,
     nest_idx: usize,
     in_nest: bool,
     ivs: Vec<i64>,
     trips: Vec<i64>,
+    /// Each reference's linear offset and page at the position last
+    /// processed.
+    linear: Vec<i64>,
+    pages: Vec<Vpn>,
     last_page: Vec<Option<Vpn>>,
     /// Like `last_page` but never reset on outer-loop carries: tracks the
     /// true stream position for prefetch continuity decisions.
     hint_prev: Vec<Option<Vpn>>,
     prologue_done: Vec<bool>,
-    /// Scratch: each reference's page at the current position.
-    pages: Vec<Vpn>,
-    pending: VecDeque<Op>,
+    /// Ops generated but not yet returned: `pending[next..]`. Ops are only
+    /// generated once every pending op has been returned, so this is a
+    /// plain buffer refilled from empty rather than a queue.
+    pending: Vec<Op>,
+    next: usize,
     acc_compute_ns: u64,
     done: bool,
     /// Total innermost iterations executed (including fast-forwarded).
@@ -101,7 +302,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if the bindings don't cover the program's arrays or nests.
+    /// Panics if the bindings don't cover the program's arrays or nests,
+    /// or the page size is not a power of two.
     pub fn new(prog: AnnotatedProgram, bind: Bindings) -> Self {
         assert_eq!(
             prog.arrays.len(),
@@ -121,29 +323,25 @@ impl Executor {
                 nest.nest.name
             );
         }
-        let indirect = (0..bind.arrays.len())
-            .map(|a| bind.indirect.get(&ArrayId(a)).copied())
-            .collect();
-        let elems = bind
-            .arrays
-            .iter()
-            .map(|b| b.dims.iter().product())
-            .collect();
+        assert!(
+            bind.page_size.is_power_of_two(),
+            "page size {} is not a power of two",
+            bind.page_size
+        );
         Executor {
-            prog,
-            bind,
-            indirect,
-            elems,
+            plan: Plan::new(&prog, &bind),
             invocation: 0,
             nest_idx: 0,
             in_nest: false,
             ivs: Vec::new(),
             trips: Vec::new(),
+            linear: Vec::new(),
+            pages: Vec::new(),
             last_page: Vec::new(),
             hint_prev: Vec::new(),
             prologue_done: Vec::new(),
-            pages: Vec::new(),
-            pending: VecDeque::new(),
+            pending: Vec::new(),
+            next: 0,
             acc_compute_ns: 0,
             done: false,
             iterations: 0,
@@ -168,24 +366,24 @@ impl Executor {
     fn enter_nest(&mut self) -> bool {
         loop {
             if self.invocation == 0 && self.nest_idx == 0 && self.iterations == 0 {
-                self.pending.push_back(Op::Mark(Mark::SweepStart));
+                self.pending.push(Op::Mark(Mark::SweepStart));
             }
-            if self.nest_idx >= self.prog.nests.len() {
+            if self.nest_idx >= self.plan.nests.len() {
                 // Account the tail of the sweep's compute inside the sweep.
                 self.flush_compute();
-                self.pending.push_back(Op::Mark(Mark::SweepEnd));
+                self.pending.push(Op::Mark(Mark::SweepEnd));
                 self.invocation += 1;
                 self.nest_idx = 0;
-                if self.invocation >= self.bind.invocations {
+                if self.invocation >= self.plan.invocations {
                     self.done = true;
                     return false;
                 }
-                self.pending.push_back(Op::Mark(Mark::SweepStart));
+                self.pending.push(Op::Mark(Mark::SweepStart));
             }
-            let nest = &self.prog.nests[self.nest_idx].nest;
+            let nest = &self.plan.nests[self.nest_idx];
             self.trips.clear();
-            for (l, spec) in nest.loops.iter().zip(&self.bind.trips[self.nest_idx]) {
-                self.trips.push(spec.resolve(l.count, self.invocation));
+            for (bound, spec) in &nest.loops {
+                self.trips.push(spec.resolve(*bound, self.invocation));
             }
             if self.trips.iter().any(|&t| t <= 0) {
                 self.nest_idx += 1;
@@ -194,6 +392,10 @@ impl Executor {
             let nrefs = nest.refs.len();
             self.ivs.clear();
             self.ivs.resize(nest.loops.len(), 0);
+            self.linear.clear();
+            self.linear.resize(nrefs, 0);
+            self.pages.clear();
+            self.pages.resize(nrefs, Vpn(0));
             self.last_page.clear();
             self.last_page.resize(nrefs, None);
             self.hint_prev.clear();
@@ -205,97 +407,53 @@ impl Executor {
         }
     }
 
-    /// Linear element offset of reference `r`, `ahead` innermost
-    /// iterations past the current position (runtime indices).
-    fn linear_of(&self, r: &ArrayRef, ahead: i64) -> i64 {
-        self.bind.linearize(
-            r.array,
-            r.indices.iter().map(|ix| self.eval_index(ix, ahead)),
-        )
+    /// Evaluates every reference of the nest at the current position.
+    fn evaluate(&mut self) {
+        let range = self.plan.nests[self.nest_idx].refs.clone();
+        for (i, r) in self.plan.refs[range].iter().enumerate() {
+            let linear = self.plan.linear(r, &self.ivs, 0);
+            self.linear[i] = linear;
+            self.pages[i] = self.plan.page(r, linear);
+        }
     }
 
-    /// The page an indirect reference will touch `ahead` innermost
-    /// iterations from now (None when that lands past the loop bounds).
-    fn indirect_future_page(&self, ri: usize, ahead: u64) -> Option<Vpn> {
-        let r = &self.prog.nests[self.nest_idx].nest.refs[ri];
-        let inner = self.trips.len() - 1;
+    /// The page reference `r` will touch `ahead` innermost iterations from
+    /// now (None when that lands past the loop bounds).
+    fn future_page(&self, r: &RefPlan, ahead: u64) -> Option<Vpn> {
+        let inner = self.ivs.len() - 1;
         if self.ivs[inner] + ahead as i64 >= self.trips[inner] {
             return None;
         }
-        Some(self.bind.page_of(r.array, self.linear_of(r, ahead as i64)))
+        Some(
+            self.plan
+                .page(r, self.plan.linear(r, &self.ivs, ahead as i64)),
+        )
     }
 
-    /// `a` evaluated with the innermost induction variable `ahead`
-    /// iterations past its current value.
-    fn eval_affine(&self, a: &Affine, ahead: i64) -> i64 {
-        let v = a.eval(&self.ivs);
-        if ahead == 0 {
-            return v;
-        }
-        v + a.coeff(LoopId(self.ivs.len() - 1)) * ahead
-    }
-
-    fn eval_index(&self, ix: &Index, ahead: i64) -> i64 {
-        match ix {
-            Index::Affine(a) => self.eval_affine(a, ahead),
-            Index::Indirect { via, subscript } => {
-                // The subscript is itself an array access: clamp it into the
-                // indirection array's extent like any other index.
-                let via_len = self.elems[via.0].max(1);
-                let sub = self.eval_affine(subscript, ahead).clamp(0, via_len - 1);
-                match self.indirect[via.0] {
-                    Some(g) => g.value(sub),
-                    None => sub, // identity indirection if no generator bound
-                }
-            }
-        }
-    }
-
-    /// Bytes the reference's linear position moves per innermost iteration
-    /// (`None` for indirect references).
-    fn inner_delta_bytes(&self, r: &ArrayRef) -> Option<i64> {
-        let inner = LoopId(self.trips.len() - 1);
-        let b = &self.bind.arrays[r.array.0];
-        let mut delta: i64 = 0;
-        let mut stride: i64 = 1;
-        for (d, ix) in r.indices.iter().enumerate().rev() {
-            let a = ix.as_affine()?;
-            delta += a.coeff(inner) * stride;
-            let extent = b.dims[d].max(1);
-            stride *= extent;
-        }
-        Some(delta * b.elem_size as i64)
-    }
-
-    /// Iterations (starting at the current position) guaranteed to stay on
-    /// every reference's current page.
+    /// Iterations, starting at the position just processed, guaranteed to
+    /// stay on every reference's current page: at least 1, and no more
+    /// than the innermost loop has left.
     fn silent_run(&self) -> i64 {
-        let nest = &self.prog.nests[self.nest_idx];
         let inner = self.trips.len() - 1;
-        let remaining = self.trips[inner] - self.ivs[inner];
-        let mut k = remaining.max(1);
-        for (ri, r) in nest.nest.refs.iter().enumerate() {
-            let linear = self.linear_of(r, 0);
-            let page = self.bind.page_of(r.array, linear);
-            if self.last_page[ri] != Some(page) {
-                return 0;
-            }
-            let Some(db) = self.inner_delta_bytes(r) else {
-                return 1.min(k); // indirect: cannot look ahead
+        let page_size = 1u64 << self.plan.page_shift;
+        let mut k = (self.trips[inner] - self.ivs[inner]).max(1);
+        let range = self.plan.nests[self.nest_idx].refs.clone();
+        for (i, r) in self.plan.refs[range].iter().enumerate() {
+            let Some(db) = r.inner_delta.filter(|_| r.uniform) else {
+                return 1; // indirect or not uniform: cannot look ahead
             };
             if db == 0 {
                 continue;
             }
-            let b = &self.bind.arrays[r.array.0];
             // Indices clamp at the array bounds; a reference pinned at an
             // edge no longer moves, so it constrains nothing.
-            let max_linear = self.elems[r.array.0] - 1;
-            if (db > 0 && linear >= max_linear) || (db < 0 && linear <= 0) {
+            let linear = self.linear[i];
+            if (db > 0 && linear >= r.max_linear) || (db < 0 && linear <= 0) {
                 continue;
             }
-            let in_page = (linear.max(0) as u64 * b.elem_size) % self.bind.page_size;
+            let in_page = (linear.max(0) as u64 * r.elem_size) & (page_size - 1);
             let until = if db > 0 {
-                ((self.bind.page_size - in_page) as i64 + db - 1) / db
+                ((page_size - in_page) as i64 + db - 1) / db
             } else {
                 (in_page as i64) / (-db) + 1
             };
@@ -328,7 +486,7 @@ impl Executor {
     fn flush_compute(&mut self) {
         if self.acc_compute_ns > 0 {
             self.pending
-                .push_back(Op::Compute(SimDuration::from_nanos(self.acc_compute_ns)));
+                .push(Op::Compute(SimDuration::from_nanos(self.acc_compute_ns)));
             self.acc_compute_ns = 0;
         }
     }
@@ -336,50 +494,40 @@ impl Executor {
     /// Processes the current iteration position; returns true if ops were
     /// emitted.
     fn process_position(&mut self) -> bool {
-        // First pass: compute target pages and detect changes.
-        let mut pages = std::mem::take(&mut self.pages);
-        pages.clear();
-        let mut any_change = false;
-        for (ri, r) in self.prog.nests[self.nest_idx].nest.refs.iter().enumerate() {
-            let page = self.bind.page_of(r.array, self.linear_of(r, 0));
-            any_change |= self.last_page[ri] != Some(page);
-            pages.push(page);
-        }
-        if !any_change {
-            self.pages = pages;
+        self.evaluate();
+        if self
+            .last_page
+            .iter()
+            .zip(&self.pages)
+            .all(|(last, &page)| *last == Some(page))
+        {
             return false;
         }
         self.flush_compute();
-        for (ri, &page) in pages.iter().enumerate() {
-            if self.last_page[ri] == Some(page) {
+        let range = self.plan.nests[self.nest_idx].refs.clone();
+        for (i, r) in self.plan.refs[range].iter().enumerate() {
+            let page = self.pages[i];
+            if self.last_page[i] == Some(page) {
                 continue;
             }
-            let nest = &self.prog.nests[self.nest_idx];
-            let r = &nest.nest.refs[ri];
-            let dir = nest.directives[ri];
-            let prev = self.hint_prev[ri];
+            let prev = self.hint_prev[i];
 
-            if let Some(pf) = dir.prefetch {
-                let allowed = match pf.only_first_iter_of {
-                    Some(l) => self.ivs[l.0] == 0,
-                    None => true,
-                };
+            if let Some(pf) = r.dir.prefetch {
+                let allowed = pf.only_first_iter_of.is_none_or(|l| self.ivs[l.0] == 0);
                 if allowed {
-                    let array_base = self.bind.arrays[r.array.0].base_vpn;
-                    let array_last = self.bind.last_page(r.array);
-                    if !r.fully_affine() {
+                    if !r.seen_affine {
                         // Indirect reference: prefetch the page the access
                         // will hit `distance` iterations from now — the
                         // a[b[i+D]] pattern the paper cites for indirect
                         // prefetching.
-                        if let Some(target) = self.indirect_future_page(ri, pf.distance_pages) {
-                            self.pending.push_back(Op::PrefetchHint {
+                        if let Some(target) = self.future_page(r, pf.distance_pages) {
+                            self.pending.push(Op::PrefetchHint {
                                 vpn: target,
                                 npages: 1,
                                 tag: pf.tag,
                             });
                         }
-                    } else if !self.prologue_done[ri]
+                    } else if !self.prologue_done[i]
                         || prev.is_none_or(|p| page.0.abs_diff(p.0) > 1)
                     {
                         // Pipeline (re)start: the stream begins or jumps
@@ -388,20 +536,18 @@ impl Executor {
                         // software-pipelining prologue covers the pipeline
                         // depth up front, in the stream's direction (the
                         // compiler knows it statically from the stride sign).
-                        self.prologue_done[ri] = true;
-                        let descending = self.inner_delta_bytes(r).is_some_and(|d| d < 0);
+                        self.prologue_done[i] = true;
+                        let descending = r.inner_delta.is_some_and(|d| d < 0);
                         let (vpn, npages) = if descending {
-                            let start = page.0.saturating_sub(pf.distance_pages).max(array_base.0);
+                            let start = page.0.saturating_sub(pf.distance_pages).max(r.base);
                             (Vpn(start), page.0 - start + 1)
                         } else {
                             (
                                 page,
-                                (pf.distance_pages + 1)
-                                    .min(array_last.0 - page.0 + 1)
-                                    .max(1),
+                                (pf.distance_pages + 1).min(r.last_page - page.0 + 1).max(1),
                             )
                         };
-                        self.pending.push_back(Op::PrefetchHint {
+                        self.pending.push(Op::PrefetchHint {
                             vpn,
                             npages,
                             tag: pf.tag,
@@ -411,13 +557,13 @@ impl Executor {
                         // direction of travel.
                         let ascending = prev.map(|p| page.0 >= p.0).unwrap_or(true);
                         let target = if ascending {
-                            Vpn(page.0.saturating_add(pf.distance_pages))
+                            page.0.saturating_add(pf.distance_pages)
                         } else {
-                            Vpn(page.0.saturating_sub(pf.distance_pages))
+                            page.0.saturating_sub(pf.distance_pages)
                         };
-                        if target.0 >= array_base.0 && target.0 <= array_last.0 {
-                            self.pending.push_back(Op::PrefetchHint {
-                                vpn: target,
+                        if target >= r.base && target <= r.last_page {
+                            self.pending.push(Op::PrefetchHint {
+                                vpn: Vpn(target),
                                 npages: 1,
                                 tag: pf.tag,
                             });
@@ -426,22 +572,21 @@ impl Executor {
                 }
             }
 
-            self.pending.push_back(Op::Touch {
+            self.pending.push(Op::Touch {
                 vpn: page,
-                write: r.is_write,
+                write: r.write,
             });
 
-            if let Some(rel) = dir.release {
-                self.pending.push_back(Op::ReleaseHint {
+            if let Some(rel) = r.dir.release {
+                self.pending.push(Op::ReleaseHint {
                     vpn: page,
                     priority: rel.priority,
                     tag: rel.tag,
                 });
             }
-            self.last_page[ri] = Some(page);
-            self.hint_prev[ri] = Some(page);
+            self.last_page[i] = Some(page);
+            self.hint_prev[i] = Some(page);
         }
-        self.pages = pages;
         true
     }
 }
@@ -449,56 +594,45 @@ impl Executor {
 impl OpStream for Executor {
     fn next_op(&mut self) -> Op {
         loop {
-            if let Some(op) = self.pending.pop_front() {
+            if let Some(&op) = self.pending.get(self.next) {
+                self.next += 1;
                 return op;
             }
+            self.pending.clear();
+            self.next = 0;
             if self.done {
                 return Op::End;
             }
             if !self.in_nest && !self.enter_nest() {
                 self.flush_compute();
-                return self.pending.pop_front().unwrap_or(Op::End);
+                continue;
             }
             // Execute iterations until something is emitted or the nest ends.
+            let work_ns = self.plan.nests[self.nest_idx].work_ns;
             loop {
                 let emitted = self.process_position();
-                self.acc_compute_ns += self.prog.nests[self.nest_idx].nest.work_per_iter_ns;
-                self.iterations += 1;
-                let more = self.advance();
-                if !more {
+                // Fast-forward past the iterations that stay on the pages
+                // just processed: they emit nothing.
+                let skip = self.silent_run() - 1;
+                let inner = self.ivs.len() - 1;
+                self.ivs[inner] += skip;
+                self.acc_compute_ns += (1 + skip as u64) * work_ns;
+                self.iterations += 1 + skip as u64;
+                if !self.advance() {
                     // The nest is over: its release-directive tags go out
                     // of scope. Retiring them lets the run-time layer
                     // flush each tag's trailing one-behind page and drop
                     // the filter entry (which would otherwise leak one
                     // slot per directive across a long multi-phase run).
-                    let directives = &self.prog.nests[self.nest_idx].directives;
-                    for (i, dir) in directives.iter().enumerate() {
-                        let Some(rel) = dir.release else { continue };
-                        let seen = directives[..i]
-                            .iter()
-                            .any(|d| d.release.is_some_and(|r| r.tag == rel.tag));
-                        if !seen {
-                            self.pending.push_back(Op::RetireTag { tag: rel.tag });
-                        }
-                    }
+                    let retire = &self.plan.nests[self.nest_idx].retire;
+                    self.pending
+                        .extend(retire.iter().map(|&tag| Op::RetireTag { tag }));
                     self.in_nest = false;
                     self.nest_idx += 1;
                     break;
                 }
                 if emitted {
                     break;
-                }
-                // Fast-forward the silent stretch.
-                let k = self.silent_run();
-                if k > 1 {
-                    let inner = self.trips.len() - 1;
-                    let skip = (k - 1).min(self.trips[inner] - 1 - self.ivs[inner]);
-                    if skip > 0 {
-                        self.ivs[inner] += skip;
-                        self.acc_compute_ns +=
-                            skip as u64 * self.prog.nests[self.nest_idx].nest.work_per_iter_ns;
-                        self.iterations += skip as u64;
-                    }
                 }
             }
         }
@@ -561,6 +695,76 @@ mod tests {
             assert!(ops.len() < 2_000_000, "runaway op stream");
         }
         ops
+    }
+
+    /// The plan of `a[i][j]` over a 10 × 2048 f64 array at page 100:
+    /// each row is exactly one 16 KB page.
+    fn plan2d() -> Plan {
+        let mut p = SourceProgram::new("2d");
+        let a = p.array("a", 8, vec![Bound::Known(10), Bound::Known(2048)]);
+        p.nest(
+            NestBuilder::new("main")
+                .counted_loop(Bound::Known(10))
+                .counted_loop(Bound::Known(2048))
+                .reference(ArrayRef::read(
+                    a,
+                    vec![Ix::aff(Affine::var(l(0))), Ix::aff(Affine::var(l(1)))],
+                ))
+                .build(),
+        );
+        let prog = compile(&p, &CompileOptions::original(machine()));
+        let bind = Bindings {
+            arrays: vec![ArrayBinding {
+                base_vpn: Vpn(100),
+                dims: vec![10, 2048],
+                elem_size: 8,
+            }],
+            indirect: HashMap::new(),
+            page_size: PAGE,
+            trips: vec![vec![TripSpec::Static, TripSpec::Static]],
+            invocations: 1,
+        };
+        Plan::new(&prog, &bind)
+    }
+
+    #[test]
+    fn plan_linearizes_row_major() {
+        let plan = plan2d();
+        let r = &plan.refs[0];
+        assert_eq!(plan.linear(r, &[0, 0], 0), 0);
+        assert_eq!(plan.linear(r, &[0, 5], 0), 5);
+        assert_eq!(plan.linear(r, &[1, 0], 0), 2048);
+        assert_eq!(plan.linear(r, &[2, 3], 0), 4099);
+        // `ahead` steps the innermost loop.
+        assert_eq!(plan.linear(r, &[2, 0], 3), 4099);
+        assert_eq!(r.inner_delta, Some(8));
+    }
+
+    #[test]
+    fn plan_clamps_out_of_range_indices() {
+        let plan = plan2d();
+        let r = &plan.refs[0];
+        assert_eq!(plan.linear(r, &[-5, 0], 0), 0);
+        assert_eq!(plan.linear(r, &[0, 9999], 0), 2047);
+        assert_eq!(plan.linear(r, &[99, 9999], 0), 10 * 2048 - 1);
+    }
+
+    #[test]
+    fn plan_maps_offsets_to_pages() {
+        let plan = plan2d();
+        let r = &plan.refs[0];
+        assert_eq!(plan.page(r, 0), Vpn(100));
+        assert_eq!(plan.page(r, 2047), Vpn(100));
+        assert_eq!(plan.page(r, 2048), Vpn(101));
+        assert_eq!(r.last_page, 109);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn page_size_must_be_a_power_of_two() {
+        let (prog, mut bind) = sweep_program(16, &CompileOptions::original(machine()));
+        bind.page_size = 3 * 1024;
+        Executor::new(prog, bind);
     }
 
     #[test]

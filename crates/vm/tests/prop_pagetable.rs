@@ -177,9 +177,23 @@ impl ModelTlb {
     }
 }
 
+/// Where an invalidation lands in the model's FIFO.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Site {
+    Head,
+    Middle,
+    Tail,
+    Absent,
+}
+
+/// The TLB (a ring once full, straightened on invalidation) against the
+/// queue-and-set model: every touch must hit or miss alike, across fills,
+/// wrap-arounds, and invalidations of the oldest entry, a middle one, the
+/// newest one and a page that is not installed.
 #[test]
 fn scanned_tlb_matches_fifo_set_model() {
     for capacity in [1usize, 2, 64] {
+        let mut seen: HashSet<Site> = HashSet::new();
         run_cases(0x54_4c_42 ^ capacity as u64, 48, |rng| {
             let mut tlb = Tlb::new(capacity);
             let mut model = ModelTlb {
@@ -196,8 +210,27 @@ fn scanned_tlb_matches_fifo_set_model() {
             for _ in 0..steps {
                 let vpn = Vpn(check::int_in(rng, 0, universe));
                 if rng.next_below(4) == 0 {
-                    tlb.invalidate(vpn);
-                    model.invalidate(vpn);
+                    let site = match rng.next_below(4) {
+                        0 => Site::Head,
+                        1 => Site::Middle,
+                        2 => Site::Tail,
+                        _ => Site::Absent,
+                    };
+                    let len = model.fifo.len();
+                    let target = match site {
+                        _ if len == 0 => vpn,
+                        Site::Head => model.fifo[0],
+                        Site::Middle => model.fifo[len / 2],
+                        Site::Tail => model.fifo[len - 1],
+                        Site::Absent => Vpn(universe + u64::from(rng.next_below(3))),
+                    };
+                    seen.insert(if model.set.contains(&target) {
+                        site
+                    } else {
+                        Site::Absent
+                    });
+                    tlb.invalidate(target);
+                    model.invalidate(target);
                 } else {
                     assert_eq!(tlb.touch(vpn), model.touch(vpn), "touch({vpn})");
                 }
@@ -205,5 +238,10 @@ fn scanned_tlb_matches_fifo_set_model() {
                 assert_eq!(tlb.misses(), model.misses, "misses");
             }
         });
+        // With one entry, head, middle and tail coincide.
+        assert!(seen.contains(&Site::Head) && seen.contains(&Site::Absent));
+        if capacity > 2 {
+            assert_eq!(seen.len(), 4, "capacity {capacity}: sites hit {seen:?}");
+        }
     }
 }

@@ -154,7 +154,7 @@ mod tests {
         let s = spec();
         let mb = s.data_set_bytes() as f64 / (1024.0 * 1024.0);
         assert!((150.0..250.0).contains(&mb), "{mb} MB");
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

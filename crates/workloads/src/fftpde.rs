@@ -108,7 +108,7 @@ mod tests {
         let s = spec();
         let mb = s.data_set_bytes() as f64 / (1024.0 * 1024.0);
         assert!((300.0..450.0).contains(&mb), "{mb} MB");
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

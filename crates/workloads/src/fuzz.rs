@@ -75,7 +75,9 @@ pub fn from_gen(gp: GenProgram) -> BenchSpec {
             analysis_difficulty: "adversarial by construction (fuzzer)",
         },
     };
-    spec.validate();
+    if let Err(e) = spec.validate() {
+        panic!("generated spec is inconsistent: {e}");
+    }
     spec
 }
 
@@ -87,7 +89,7 @@ mod tests {
     fn fuzz_specs_validate_and_check() {
         for seed in 0..64u64 {
             let s = spec(seed);
-            s.validate();
+            assert_eq!(s.validate(), Ok(()), "seed {seed}");
             assert!(compiler::check_program(&s.source).is_ok(), "seed {seed}");
             assert!(s.data_set_bytes() > 0, "seed {seed}");
         }

@@ -41,7 +41,7 @@ pub mod stencil;
 pub use adversary::AdversaryTask;
 pub use arrivals::{ArrivalProcess, FleetArrival, FleetHog, FleetSpec, SurgeSpec, ZipfTenants};
 pub use interactive::InteractiveTask;
-pub use spec::{ArraySpec, BenchSpec, Table2Row};
+pub use spec::{ArraySpec, BenchSpec, SpecError, Table2Row};
 
 /// All six out-of-core benchmarks, in the paper's presentation order.
 pub fn all_benchmarks() -> Vec<BenchSpec> {
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn all_specs_internally_consistent() {
         for b in all_benchmarks() {
-            b.validate();
+            assert_eq!(b.validate(), Ok(()), "{}", b.name);
         }
     }
 

@@ -1,9 +1,10 @@
 //! Benchmark specification: source program + run-time truth.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use compiler::ir::ArrayId;
-use compiler::SourceProgram;
+use compiler::{IrError, SourceProgram};
 use runtime::{ArrayBinding, Bindings, IndirectGen, TripSpec};
 use vm::Vpn;
 
@@ -38,6 +39,73 @@ pub struct Table2Row {
     /// Why it is easy or hard for the compiler.
     pub analysis_difficulty: &'static str,
 }
+
+/// Why a [`BenchSpec`] cannot run: its source program is malformed, or
+/// its run-time truth does not match that program.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum SpecError {
+    /// The source program fails [`compiler::check_program`].
+    Program(Vec<IrError>),
+    /// `(declared, specified)`: the array specs do not match the
+    /// declarations one to one.
+    ArrayCount(usize, usize),
+    /// An array spec's rank differs from its declaration's.
+    Rank(String),
+    /// An array spec's element size differs from its declaration's.
+    ElemSize(String),
+    /// An array spec's extent differs from a compile-time known one.
+    KnownExtent(String),
+    /// `(nests, specified)`: the trip specs do not match the nests one to
+    /// one.
+    NestCount(usize, usize),
+    /// A nest's trip specs do not match its loops one to one.
+    LoopCount(String),
+    /// `(nest, depth)`: a [`TripSpec::Cycle`] with no values.
+    EmptyCycle(String, usize),
+    /// `(nest, depth)`: [`TripSpec::Static`] on a loop whose bound the
+    /// compiler does not know.
+    StaticUnknownBound(String, usize),
+    /// The spec runs zero invocations.
+    ZeroInvocations,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::Program(errors) => {
+                write!(f, "malformed program:")?;
+                for e in errors {
+                    write!(f, " {e};")?;
+                }
+                Ok(())
+            }
+            SpecError::ArrayCount(declared, specified) => {
+                write!(f, "{specified} array specs for {declared} declared arrays")
+            }
+            SpecError::Rank(a) => write!(f, "array {a}: rank differs from its declaration"),
+            SpecError::ElemSize(a) => {
+                write!(f, "array {a}: element size differs from its declaration")
+            }
+            SpecError::KnownExtent(a) => {
+                write!(f, "array {a}: extent differs from its known bound")
+            }
+            SpecError::NestCount(nests, specified) => {
+                write!(f, "trip specs for {specified} nests, program has {nests}")
+            }
+            SpecError::LoopCount(n) => write!(f, "nest {n}: one trip spec per loop required"),
+            SpecError::EmptyCycle(n, d) => write!(f, "nest {n}: empty trip cycle at depth {d}"),
+            SpecError::StaticUnknownBound(n, d) => {
+                write!(
+                    f,
+                    "nest {n}: static trip spec on the unknown bound at depth {d}"
+                )
+            }
+            SpecError::ZeroInvocations => write!(f, "zero invocations"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// A complete benchmark: compiler input plus execution truth.
 #[derive(Clone, Debug)]
@@ -90,44 +158,56 @@ impl BenchSpec {
         }
     }
 
-    /// Checks internal consistency (arity of arrays/trips vs the source).
+    /// Checks that the spec can run: its source program is well formed,
+    /// and its arrays, trip specs and invocation count match that program.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on inconsistency.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.arrays.len(),
-            self.source.arrays.len(),
-            "{}: array specs must match declarations",
-            self.name
-        );
-        for (spec, decl) in self.arrays.iter().zip(&self.source.arrays) {
-            assert_eq!(
-                spec.dims.len(),
-                decl.dims.len(),
-                "{}: dims arity mismatch for {}",
-                self.name,
-                decl.name
-            );
-            assert_eq!(spec.elem_size, decl.elem_size);
-            for (actual, bound) in spec.dims.iter().zip(&decl.dims) {
-                if let Some(v) = bound.known() {
-                    assert_eq!(*actual, v, "{}: known dim must match actual", self.name);
+    /// The first mismatch found, as a [`SpecError`].
+    pub fn validate(&self) -> Result<(), SpecError> {
+        compiler::check_program(&self.source).map_err(SpecError::Program)?;
+        let decls = &self.source.arrays;
+        if self.arrays.len() != decls.len() {
+            return Err(SpecError::ArrayCount(decls.len(), self.arrays.len()));
+        }
+        for (spec, decl) in self.arrays.iter().zip(decls) {
+            if spec.dims.len() != decl.dims.len() {
+                return Err(SpecError::Rank(decl.name.clone()));
+            }
+            if spec.elem_size != decl.elem_size {
+                return Err(SpecError::ElemSize(decl.name.clone()));
+            }
+            let mut extents = spec.dims.iter().zip(&decl.dims);
+            if extents.any(|(&actual, bound)| bound.known().is_some_and(|v| v != actual)) {
+                return Err(SpecError::KnownExtent(decl.name.clone()));
+            }
+        }
+        if self.trips.len() != self.source.nests.len() {
+            return Err(SpecError::NestCount(
+                self.source.nests.len(),
+                self.trips.len(),
+            ));
+        }
+        for (trips, nest) in self.trips.iter().zip(&self.source.nests) {
+            if trips.len() != nest.loops.len() {
+                return Err(SpecError::LoopCount(nest.name.clone()));
+            }
+            for (depth, (spec, l)) in trips.iter().zip(&nest.loops).enumerate() {
+                match spec {
+                    TripSpec::Cycle(vs) if vs.is_empty() => {
+                        return Err(SpecError::EmptyCycle(nest.name.clone(), depth));
+                    }
+                    TripSpec::Static if !l.count.is_known() => {
+                        return Err(SpecError::StaticUnknownBound(nest.name.clone(), depth));
+                    }
+                    _ => {}
                 }
             }
         }
-        assert_eq!(self.trips.len(), self.source.nests.len());
-        for (trips, nest) in self.trips.iter().zip(&self.source.nests) {
-            assert_eq!(
-                trips.len(),
-                nest.loops.len(),
-                "{}: {}",
-                self.name,
-                nest.name
-            );
+        if self.invocations == 0 {
+            return Err(SpecError::ZeroInvocations);
         }
-        assert!(self.invocations > 0);
+        Ok(())
     }
 
     /// Derives a variant with re-seeded indirection contents (replication
