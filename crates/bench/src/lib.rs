@@ -30,16 +30,26 @@ pub fn suite_target() -> (MachineConfig, Option<&'static [&'static str]>) {
 ///
 /// The workspace builds offline with no external bench framework, so the
 /// `benches/` targets (declared `harness = false`) drive themselves with
-/// this: auto-scaled iteration counts against wall-clock budgets, median
-/// of a few samples, one line of output per benchmark.
+/// this: auto-scaled iteration counts against wall-clock budgets, the
+/// minimum and median of many short samples, one line of output per
+/// benchmark.
 pub mod micro {
     use std::time::{Duration, Instant};
 
+    /// Samples per benchmark.
+    pub const SAMPLES: usize = 15;
+
+    /// Target wall time of one sample.
+    const SAMPLE: Duration = Duration::from_millis(20);
+
     /// Times `f` and prints its per-iteration cost.
     ///
-    /// Warms up to estimate cost, then takes three samples of a ~100 ms
-    /// batch each and reports the median, which is stable enough to spot
-    /// order-of-magnitude regressions without a statistics crate.
+    /// Warms up to estimate cost, then takes [`SAMPLES`] samples of a
+    /// ~20 ms batch each and reports their minimum (the least disturbed
+    /// run, the figure to compare builds by), their median and the
+    /// sample count. On a shared machine the median of a few long samples
+    /// swung by 2× between runs; the minimum of many short ones resolves
+    /// far smaller changes.
     pub fn bench(name: &str, mut f: impl FnMut()) {
         let mut iters: u64 = 1;
         let per_ns = loop {
@@ -53,8 +63,8 @@ pub mod micro {
             }
             iters = iters.saturating_mul(8);
         };
-        let batch = ((100.0e6 / per_ns).ceil() as u64).clamp(1, 1 << 26);
-        let mut samples: Vec<f64> = (0..3)
+        let batch = ((SAMPLE.as_nanos() as f64 / per_ns).ceil() as u64).clamp(1, 1 << 26);
+        let mut samples: Vec<f64> = (0..SAMPLES)
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..batch {
@@ -65,8 +75,10 @@ pub mod micro {
             .collect();
         samples.sort_by(f64::total_cmp);
         println!(
-            "{name:<44} {:>14.1} ns/iter   ({batch} iters/sample)",
-            samples[1]
+            "{name:<44} min {:>12.1} ns/iter  median {:>12.1}  ({} samples of {batch} iters)",
+            samples[0],
+            samples[SAMPLES / 2],
+            samples.len()
         );
     }
 

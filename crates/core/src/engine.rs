@@ -15,6 +15,9 @@
 //! per-op, daemon and pressure events inline; every rare event has a
 //! cold handler, so edits to rare paths do not move the hot one's speed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use runtime::prefetcher::PrefetchPool;
 use runtime::supervisor::Supervisor;
 use runtime::{BrownoutConfig, BrownoutController, OpStream, RuntimeLayer};
@@ -23,7 +26,7 @@ use sim_core::obs::span::{ReqId, SpanTracker};
 use sim_core::rng::Pcg32;
 use sim_core::sanitizer::Mutation;
 use sim_core::{EventQueue, SimDuration, SimTime};
-use vm::{Pid, PressureMonitor, VmSys};
+use vm::{Pid, PressureMonitor, VmSys, Vpn};
 
 use crate::machine::MachineConfig;
 use crate::timeline::TimelineSample;
@@ -39,6 +42,25 @@ mod tests;
 use dispatch::CpuPool;
 pub use finish::{ProcResult, RunResult};
 pub use fleet::{FleetStats, ShedRecord, TenantTail};
+
+/// Engines alive in this process: built and not yet dropped.
+static LIVE_ENGINES: AtomicUsize = AtomicUsize::new(0);
+
+/// One engine's share of [`LIVE_ENGINES`], held for its lifetime.
+struct LiveEngine;
+
+impl LiveEngine {
+    fn new() -> Self {
+        LIVE_ENGINES.fetch_add(1, Ordering::AcqRel);
+        LiveEngine
+    }
+}
+
+impl Drop for LiveEngine {
+    fn drop(&mut self) {
+        LIVE_ENGINES.fetch_sub(1, Ordering::AcqRel);
+    }
+}
 
 /// Events the engine schedules.
 #[derive(Clone, Copy, Debug)]
@@ -151,8 +173,11 @@ pub struct Engine {
     /// The per-request span tracker, when the run observes (armed by
     /// [`Engine::with_observability`]).
     spans: Option<SpanTracker>,
+    /// The pages a hint call lets through, reused across hints.
+    hint_pages: Vec<Vpn>,
     /// Safety valve: stop even if primaries never finish.
     pub max_time: SimTime,
+    _live: LiveEngine,
 }
 
 impl Engine {
@@ -186,8 +211,27 @@ impl Engine {
             prefetch_alive: true,
             fleet: fleet::FleetState::default(),
             spans: None,
+            hint_pages: Vec::new(),
             max_time: SimTime::from_nanos(u64::MAX / 2),
+            _live: LiveEngine::new(),
         }
+    }
+
+    /// Whether the process has a core that no engine and no executor
+    /// producer thread is using: the rule for running a compiled
+    /// program's executor on its own thread
+    /// ([`runtime::handoff::Pipelined`]). A 1-worker pool on 2 cores has
+    /// one; a pool with a worker per core has none.
+    pub fn spare_core(&self) -> bool {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+        cores > LIVE_ENGINES.load(Ordering::Acquire) + runtime::handoff::live_producers()
+    }
+
+    /// Whether checked mode is on.
+    pub(crate) fn is_checked(&self) -> bool {
+        self.checked
     }
 
     /// Arms overload control: the memory-pressure monitor samples the

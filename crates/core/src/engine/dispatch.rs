@@ -1,6 +1,7 @@
 //! Op execution: the per-process run-until-yield turn, each op's
 //! handler, span attribution, and the exit every departure shares.
 
+use runtime::ops::VecStream;
 use runtime::{Mark, Op, RtStats};
 use sim_core::fault::FaultKind;
 use sim_core::obs::span::{SpanKind, SpanState};
@@ -238,7 +239,8 @@ impl Engine {
 
     /// Runs one compiler-inserted hint (`PrefetchHint`, `ReleaseHint`
     /// or `RetireTag`) through the process's run-time layer, charges the
-    /// layer's CPU cost, and issues whatever pages it let through.
+    /// layer's CPU cost, and issues whatever pages it let through. The
+    /// pages pass through the engine's one reused buffer.
     fn op_hint(&mut self, i: usize, op: Op) {
         if !self.hint_layer_alive {
             return;
@@ -253,14 +255,16 @@ impl Engine {
         let rejected =
             |s: &RtStats| s.prefetch_rejected + s.prefetch_advisory_dropped + s.release_rejected;
         let rejected_before = if track { rejected(rt.stats()) } else { 0 };
-        let (pages, cost) = match op {
+        let mut pages = std::mem::take(&mut self.hint_pages);
+        pages.clear();
+        let cost = match op {
             Op::PrefetchHint { vpn, npages, tag } => {
-                rt.on_prefetch_hint(&self.vm, pid, now, vpn, npages, tag)
+                rt.prefetch_hint(&self.vm, pid, now, (vpn, npages, tag), &mut pages)
             }
             Op::ReleaseHint { vpn, priority, tag } => {
-                rt.on_release_hint(&self.vm, pid, now, vpn, priority, tag)
+                rt.release_hint(&self.vm, pid, now, (vpn, priority, tag), &mut pages)
             }
-            Op::RetireTag { tag } => rt.on_retire_tag(&self.vm, pid, now, tag),
+            Op::RetireTag { tag } => rt.retire_tag(&self.vm, pid, now, tag, &mut pages),
             _ => unreachable!("op_hint takes hint ops only"),
         };
         // The hint call's CPU cost is Running unless the admission
@@ -288,19 +292,20 @@ impl Engine {
                 self.issue_prefetches(i, pid, local, &pages);
             }
             self.wake_daemons(local);
-            return;
-        }
-        if !pages.is_empty() {
-            self.issue_releases(i, pid, local, &pages);
-        }
-        if let (Op::ReleaseHint { .. }, Some(rt)) = (op, self.procs[i].rt.as_mut()) {
-            // The run-time layer decides which pages to offer the OS as
-            // eviction candidates; the VM applies them.
-            let candidates = rt.take_eviction_candidates();
-            if !candidates.is_empty() {
-                self.vm.offer_eviction_candidates(pid, &candidates);
+        } else {
+            if !pages.is_empty() {
+                self.issue_releases(i, pid, local, &pages);
+            }
+            if let (Op::ReleaseHint { .. }, Some(rt)) = (op, self.procs[i].rt.as_mut()) {
+                // The run-time layer decides which pages to offer the OS
+                // as eviction candidates; the VM applies them.
+                let candidates = rt.take_eviction_candidates();
+                if !candidates.is_empty() {
+                    self.vm.offer_eviction_candidates(pid, &candidates);
+                }
             }
         }
+        self.hint_pages = pages;
     }
 
     fn issue_prefetches(&mut self, i: usize, pid: Pid, local: SimTime, pages: &[Vpn]) {
@@ -386,13 +391,17 @@ impl Engine {
     }
 
     /// The steps every exit shares: the process finishes at its clock,
-    /// its memory returns to the system, and its open span request
-    /// closes there — shed from `shed_from` when the exit was forced.
+    /// its stream is dropped, its memory returns to the system, and its
+    /// open span request closes there — shed from `shed_from` when the
+    /// exit was forced.
     /// Returns the finish time.
     fn exit(&mut self, i: usize, shed_from: Option<SimTime>) -> SimTime {
         let p = &mut self.procs[i];
         let (pid, local) = (p.result.pid, p.local);
         p.result.finish_time = local;
+        // An executor's producer thread is joined here, not at the run's
+        // end.
+        p.stream = Box::new(VecStream::default());
         let span_req = p.span_req.take();
         self.vm.exit_process(local, pid);
         if let (Some(tracker), Some(req)) = (self.spans.as_mut(), span_req) {

@@ -63,7 +63,7 @@ pub fn jobs() -> usize {
 }
 
 /// The panic payload as text, for [`RunError::Crashed`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

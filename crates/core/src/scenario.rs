@@ -13,7 +13,7 @@
 //! [`crate::request::RunRequest`], which calls these installers.
 
 use compiler::{compile, CompileOptions};
-use runtime::{Executor, ReleasePolicy, RtConfig, RuntimeLayer};
+use runtime::{Executor, OpStream, Pipelined, ReleasePolicy, RtConfig, RuntimeLayer};
 use sim_core::fault::{AdversaryPlan, FaultDomain, FaultPlan};
 use sim_core::SimDuration;
 use vm::{Backing, Pid, Vpn};
@@ -84,13 +84,30 @@ impl Version {
 }
 
 /// Compiles `spec` for `version`, maps its arrays, and registers the
-/// process. Returns the VM pid.
+/// process. Returns the VM pid. The executor runs on its own producer
+/// thread when the engine has a core to spare ([`Engine::spare_core`]),
+/// inline otherwise; it probes its windows in checked mode.
 pub fn install_bench(
     engine: &mut Engine,
     spec: &BenchSpec,
     version: Version,
     rt_config: RtConfig,
 ) -> Pid {
+    let (pid, exec) = map_bench(engine, spec, version);
+    // With a core to spare, the executor runs beside the engine; the op
+    // stream is the same either way.
+    let stream: Box<dyn OpStream> = if engine.spare_core() {
+        Box::new(Pipelined::spawn(exec))
+    } else {
+        Box::new(exec)
+    };
+    register_bench(engine, pid, spec, version, rt_config, stream);
+    pid
+}
+
+/// Compiles `spec` for `version`, adds its process and maps its arrays;
+/// returns the pid and the program's executor.
+fn map_bench(engine: &mut Engine, spec: &BenchSpec, version: Version) -> (Pid, Executor) {
     let opts = version.compile_options(engine.config());
     let prog = compile(&spec.source, &opts);
     let page_size = engine.config().page_size;
@@ -105,19 +122,31 @@ pub fn install_bench(
                 .map_region(pid, arr.pages(page_size), Backing::SwapPrefilled, with_pm);
         bases.push(range.start);
     }
-    let bindings = spec.bindings(&bases, page_size);
-    let exec = Executor::new(prog, bindings);
+    let mut exec = Executor::new(prog, spec.bindings(&bases, page_size));
+    exec.set_checked(engine.is_checked());
+    (pid, exec)
+}
+
+/// Registers a benchmark process running `stream`, with the version's
+/// run-time layer.
+fn register_bench(
+    engine: &mut Engine,
+    pid: Pid,
+    spec: &BenchSpec,
+    version: Version,
+    rt_config: RtConfig,
+    stream: Box<dyn OpStream>,
+) {
     let rt = version
         .policy()
         .map(|policy| RuntimeLayer::new(policy, rt_config));
     engine.register(
         pid,
         format!("{}-{}", spec.name, version.label()),
-        Box::new(exec),
+        stream,
         rt,
         true,
     );
-    pid
 }
 
 /// Maps the interactive task's 1 MB region and registers it.
@@ -359,6 +388,98 @@ mod tests {
             res.run.fault_log.summary()
         );
         assert!(hog.rt_stats.unwrap().hints_dropped > 0);
+    }
+
+    /// `p[colidx[i]]` beside `aval[i]` and `colidx[i]`: a gather nest
+    /// whose affine streams cross pages inside its windows.
+    fn tiny_gather() -> BenchSpec {
+        use compiler::expr::{Affine, Bound};
+        use compiler::ir::{ArrayRef, Index, LoopId, NestBuilder, SourceProgram};
+        use workloads::{ArraySpec, Table2Row};
+
+        let n: i64 = 2048 * 16;
+        let mut p = SourceProgram::new("GATHER");
+        let aval = p.array("aval", 32, vec![Bound::Known(n)]);
+        let colidx = p.array("colidx", 4, vec![Bound::Known(n)]);
+        let pv = p.array("p", 8, vec![Bound::Known(n)]);
+        let i = LoopId(0);
+        p.nest(
+            NestBuilder::new("spmv")
+                .counted_loop(Bound::Known(n))
+                .work_ns(45)
+                .reference(ArrayRef::read(aval, vec![Index::aff(Affine::var(i))]))
+                .reference(ArrayRef::read(colidx, vec![Index::aff(Affine::var(i))]))
+                .reference(ArrayRef::read(
+                    pv,
+                    vec![Index::Indirect {
+                        via: colidx,
+                        subscript: Affine::var(i),
+                    }],
+                ))
+                .build(),
+        );
+        let array = |elem_size| ArraySpec {
+            dims: vec![n],
+            elem_size,
+        };
+        BenchSpec {
+            name: "GATHER".into(),
+            source: p,
+            arrays: vec![array(32), array(4), array(8)],
+            trips: vec![vec![runtime::TripSpec::Static]],
+            indirect: [(
+                colidx,
+                runtime::IndirectGen {
+                    seed: 5,
+                    range: n as u64,
+                },
+            )]
+            .into_iter()
+            .collect(),
+            invocations: 1,
+            table2: Table2Row {
+                description: "test gather",
+                structure: "indirect",
+                analysis_difficulty: "trivial",
+            },
+        }
+    }
+
+    #[test]
+    fn producer_panic_fails_the_run_as_the_inline_run_fails() {
+        use crate::exec::panic_message;
+        use crate::request::RunError;
+
+        // A checked engine whose executor trusts affine references past
+        // their pages: the window probe raises mid-run.
+        let crash = |pipelined: bool| -> RunError {
+            let mut engine = Engine::new(MachineConfig::small()).with_checked();
+            let spec = tiny_gather();
+            let (pid, mut exec) = map_bench(&mut engine, &spec, Version::Prefetch);
+            exec.overrun_windows(4096);
+            let stream: Box<dyn OpStream> = if pipelined {
+                Box::new(Pipelined::spawn(exec))
+            } else {
+                Box::new(exec)
+            };
+            register_bench(
+                &mut engine,
+                pid,
+                &spec,
+                Version::Prefetch,
+                RtConfig::default(),
+                stream,
+            );
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run()))
+                .expect_err("the overrun window is caught");
+            RunError::Crashed(panic_message(payload))
+        };
+        let inline = crash(false);
+        assert!(
+            inline.to_string().contains("runtime/exec_window"),
+            "{inline}"
+        );
+        assert_eq!(crash(true), inline);
     }
 
     #[test]

@@ -22,18 +22,34 @@
 //! The program is compiled once, when the executor is built, into a flat
 //! *access plan*: per reference its array's base and last page, element
 //! size, innermost byte step and directives; per index dimension its
-//! extent, row-major stride, affine terms and resolved indirection
-//! generator. Each reference is evaluated through its plan once per
-//! visited position, and both the page-change check and the fast-forward
-//! read that one evaluation. The page size is a power of two, so a page
-//! number is a shift and an in-page offset a mask.
+//! extent, row-major stride, outer-loop terms, innermost coefficient and
+//! resolved indirection generator. Each dimension's outer-loop part is
+//! cached on nest entry and on every outer-loop carry, so evaluating a
+//! reference at a position costs one multiply-add per dimension. The page
+//! size is a power of two, so a page number is a shift and an in-page
+//! offset a mask.
+//!
+//! A visited position starts or continues a *window*: the run of
+//! iterations over which every affine reference provably stays on its
+//! page (the arithmetic of the fast-forward). A nest without indirect
+//! references skips the whole window at once. A gather loop such as
+//! `p[colidx[i]]` must visit every iteration, but inside the window it
+//! evaluates only its indirect references; the window restarts on nest
+//! entry and on every outer-loop carry. In checked mode each position
+//! inside a window re-evaluates every reference from scratch and raises an
+//! [`InvariantViolation`] on a mismatched page.
+//!
+//! Ops are generated in *steps* that each append a bounded number of ops
+//! to a caller's buffer, so the same generator serves the inline
+//! [`OpStream`] and the producer thread of [`crate::handoff::Pipelined`].
 
 use std::ops::Range;
 
 use compiler::expr::Bound;
 use compiler::ir::{Index, LoopId};
 use compiler::{AnnotatedProgram, RefDirectives};
-use sim_core::SimDuration;
+use sim_core::sanitizer::InvariantViolation;
+use sim_core::{SimDuration, SimTime};
 use vm::Vpn;
 
 use crate::bindings::{Bindings, IndirectGen, TripSpec};
@@ -46,7 +62,8 @@ use crate::ops::{Mark, Op, OpStream};
 #[derive(Clone, Debug)]
 struct DimPlan {
     constant: i64,
-    /// This dimension's `(loop depth, coefficient)` terms in [`Plan::terms`].
+    /// This dimension's outer-loop `(loop depth, coefficient)` terms in
+    /// [`Plan::terms`].
     terms: Range<usize>,
     /// Coefficient of the innermost loop: the step per iteration ahead.
     inner: i64,
@@ -55,6 +72,17 @@ struct DimPlan {
     /// Row-major stride in elements.
     stride: i64,
     via: Option<Via>,
+}
+
+impl DimPlan {
+    /// The dimension's linear contribution given its affine value `v`.
+    fn offset(&self, mut v: i64) -> i64 {
+        if let Some(via) = self.via {
+            let sub = v.clamp(0, via.max);
+            v = via.gen.map_or(sub, |g| g.value(sub));
+        }
+        v.clamp(0, self.max) * self.stride
+    }
 }
 
 /// The index array of an indirection.
@@ -83,14 +111,22 @@ struct RefPlan {
     /// At most one index moves with the innermost loop, so the reference
     /// moves by `inner_delta` per iteration until an edge stops it. With
     /// two or more moving indices, one clamping at an edge can change the
-    /// reference's speed and even its direction, so the fast-forward does
-    /// not look ahead.
+    /// reference's speed and even its direction, so the window does not
+    /// look ahead.
     uniform: bool,
     /// The compiler saw every index as affine, so a prefetch follows the
     /// stream rather than looking ahead through `a[b[i + D]]`.
     seen_affine: bool,
     write: bool,
     dir: RefDirectives,
+}
+
+impl RefPlan {
+    /// An index is indirect: the reference is evaluated at every
+    /// iteration, inside windows too.
+    fn gathers(&self) -> bool {
+        self.inner_delta.is_none()
+    }
 }
 
 /// One nest: its loops, its references and the tags it retires.
@@ -100,6 +136,10 @@ struct NestPlan {
     loops: Vec<(Bound, TripSpec)>,
     /// This nest's references in [`Plan::refs`].
     refs: Range<usize>,
+    /// Its references' dimensions in [`Plan::dims`].
+    dims: Range<usize>,
+    /// Some reference is indirect, so the nest visits every iteration.
+    gathers: bool,
     work_ns: u64,
     /// Release tags that go out of scope when the nest exits, each once.
     retire: Vec<u32>,
@@ -114,6 +154,8 @@ struct Plan {
     nests: Vec<NestPlan>,
     page_shift: u32,
     invocations: u32,
+    /// The most ops one [`Executor::step`] appends.
+    max_step: usize,
 }
 
 impl Plan {
@@ -130,13 +172,17 @@ impl Plan {
             nests: Vec::with_capacity(prog.nests.len()),
             page_shift: bind.page_size.trailing_zeros(),
             invocations: bind.invocations,
+            // A nest entry: the first sweep mark, then a sweep boundary's
+            // compute, end and start marks.
+            max_step: 4,
         };
         for (nest, trips) in prog.nests.iter().zip(&bind.trips) {
             let inner = LoopId(nest.nest.loops.len().saturating_sub(1));
             let first_ref = plan.refs.len();
+            let first_dim = plan.dims.len();
             for (r, dir) in nest.nest.refs.iter().zip(&nest.directives) {
                 let b = &bind.arrays[r.array.0];
-                let first_dim = plan.dims.len();
+                let ref_dims = plan.dims.len();
                 let mut stride: i64 = 1;
                 let mut delta = Some(0i64);
                 // Innermost dimension first: the strides build outward.
@@ -152,10 +198,15 @@ impl Plan {
                         ),
                     };
                     let first_term = plan.terms.len();
-                    plan.terms
-                        .extend(affine.terms.iter().map(|&(l, c)| (l.0, c)));
+                    let mut step = 0;
+                    for &(l, c) in &affine.terms {
+                        if l == inner {
+                            step += c;
+                        } else {
+                            plan.terms.push((l.0, c));
+                        }
+                    }
                     let extent = b.dims[d].max(1);
-                    let step = affine.coeff(inner);
                     delta = delta.filter(|_| via.is_none()).map(|db| db + step * stride);
                     plan.dims.push(DimPlan {
                         constant: affine.constant,
@@ -167,12 +218,12 @@ impl Plan {
                     });
                     stride *= extent;
                 }
-                let moving = plan.dims[first_dim..]
+                let moving = plan.dims[ref_dims..]
                     .iter()
                     .filter(|d| d.inner != 0)
                     .count();
                 plan.refs.push(RefPlan {
-                    dims: first_dim..plan.dims.len(),
+                    dims: ref_dims..plan.dims.len(),
                     base: b.base_vpn.0,
                     last_page: bind.last_page(r.array).0,
                     elem_size: b.elem_size,
@@ -190,6 +241,11 @@ impl Plan {
                     retire.push(rel.tag);
                 }
             }
+            let refs = first_ref..plan.refs.len();
+            // A position: the compute flush, then a prefetch hint, a touch
+            // and a release hint per reference; the nest's exit adds its
+            // retired tags.
+            plan.max_step = plan.max_step.max(1 + 3 * refs.len() + retire.len());
             plan.nests.push(NestPlan {
                 loops: nest
                     .nest
@@ -198,7 +254,9 @@ impl Plan {
                     .map(|l| l.count)
                     .zip(trips.iter().cloned())
                     .collect(),
-                refs: first_ref..plan.refs.len(),
+                gathers: plan.refs[refs.clone()].iter().any(RefPlan::gathers),
+                refs,
+                dims: first_dim..plan.dims.len(),
                 work_ns: nest.nest.work_per_iter_ns,
                 retire,
             });
@@ -207,21 +265,31 @@ impl Plan {
     }
 
     /// Linear element offset of `r`, `ahead` innermost iterations past
-    /// the position `ivs` (indices clamped into the array's extents).
+    /// the position `ivs` (indices clamped into the array's extents),
+    /// evaluated from scratch.
     fn linear(&self, r: &RefPlan, ivs: &[i64], ahead: i64) -> i64 {
+        let t = ivs[ivs.len() - 1] + ahead;
         let mut linear = 0;
         for d in &self.dims[r.dims.clone()] {
-            let mut v = d.constant + d.inner * ahead;
+            let mut v = d.constant + d.inner * t;
             for &(l, c) in &self.terms[d.terms.clone()] {
                 v += c * ivs[l];
             }
-            if let Some(via) = d.via {
-                let sub = v.clamp(0, via.max);
-                v = via.gen.map_or(sub, |g| g.value(sub));
-            }
-            linear += v.clamp(0, d.max) * d.stride;
+            linear += d.offset(v);
         }
         linear
+    }
+
+    /// Linear element offset of `r` at innermost iteration `t`, from its
+    /// dimensions' cached outer-loop parts (`outer[k]` belongs to
+    /// `self.dims[dim0 + k]`).
+    fn linear_at(&self, r: &RefPlan, outer: &[i64], dim0: usize, t: i64) -> i64 {
+        let cached = &outer[r.dims.start - dim0..r.dims.end - dim0];
+        self.dims[r.dims.clone()]
+            .iter()
+            .zip(cached)
+            .map(|(d, &o)| d.offset(o + d.inner * t))
+            .sum()
     }
 
     /// The page holding element offset `linear` of `r`'s array.
@@ -277,8 +345,14 @@ pub struct Executor {
     in_nest: bool,
     ivs: Vec<i64>,
     trips: Vec<i64>,
+    /// Each dimension's outer-loop part at the current outer iteration,
+    /// for the nest's dimensions in order.
+    outer: Vec<i64>,
+    /// Positions after the current one over which every affine reference
+    /// stays on its page.
+    window: i64,
     /// Each reference's linear offset and page at the position last
-    /// processed.
+    /// evaluated (an affine reference's, at its window's first position).
     linear: Vec<i64>,
     pages: Vec<Vpn>,
     last_page: Vec<Option<Vpn>>,
@@ -286,15 +360,18 @@ pub struct Executor {
     /// true stream position for prefetch continuity decisions.
     hint_prev: Vec<Option<Vpn>>,
     prologue_done: Vec<bool>,
-    /// Ops generated but not yet returned: `pending[next..]`. Ops are only
-    /// generated once every pending op has been returned, so this is a
-    /// plain buffer refilled from empty rather than a queue.
+    /// Ops generated but not yet returned by [`OpStream::next_op`]:
+    /// `pending[next..]`. Refilled one step at a time, from empty.
     pending: Vec<Op>,
     next: usize,
     acc_compute_ns: u64,
     done: bool,
     /// Total innermost iterations executed (including fast-forwarded).
     iterations: u64,
+    /// Checked mode: positions inside a window re-evaluate every reference.
+    checked: bool,
+    /// Test-only corruption: iterations added to every gather window.
+    overrun: i64,
 }
 
 impl Executor {
@@ -328,24 +405,49 @@ impl Executor {
             "page size {} is not a power of two",
             bind.page_size
         );
+        let plan = Plan::new(&prog, &bind);
+        // Sized for the largest nest up front, so generating ops never
+        // allocates (on a producer thread, too).
+        let most = |size: fn(&NestPlan) -> usize| plan.nests.iter().map(size).max().unwrap_or(0);
+        let (loops, refs, dims) = (
+            most(|n| n.loops.len()),
+            most(|n| n.refs.len()),
+            most(|n| n.dims.len()),
+        );
         Executor {
-            plan: Plan::new(&prog, &bind),
+            plan,
             invocation: 0,
             nest_idx: 0,
             in_nest: false,
-            ivs: Vec::new(),
-            trips: Vec::new(),
-            linear: Vec::new(),
-            pages: Vec::new(),
-            last_page: Vec::new(),
-            hint_prev: Vec::new(),
-            prologue_done: Vec::new(),
+            ivs: Vec::with_capacity(loops),
+            trips: Vec::with_capacity(loops),
+            outer: Vec::with_capacity(dims),
+            window: 0,
+            linear: Vec::with_capacity(refs),
+            pages: Vec::with_capacity(refs),
+            last_page: Vec::with_capacity(refs),
+            hint_prev: Vec::with_capacity(refs),
+            prologue_done: Vec::with_capacity(refs),
             pending: Vec::new(),
             next: 0,
             acc_compute_ns: 0,
             done: false,
             iterations: 0,
+            checked: false,
+            overrun: 0,
         }
+    }
+
+    /// Enables or disables the checked-mode window probe.
+    pub fn set_checked(&mut self, enabled: bool) {
+        self.checked = enabled;
+    }
+
+    /// Checked-mode self test: stretches every gather window by `by`
+    /// iterations, so affine references are trusted past their page.
+    #[doc(hidden)]
+    pub fn overrun_windows(&mut self, by: i64) {
+        self.overrun = by;
     }
 
     /// Total innermost iterations executed so far.
@@ -358,90 +460,215 @@ impl Executor {
         self.invocation
     }
 
-    /// Enters the next runnable nest; returns false when the program ends.
+    /// The most ops [`Executor::fill`] appends past its target length.
+    pub(crate) fn max_overshoot(&self) -> usize {
+        self.plan.max_step + 1
+    }
+
+    /// Appends ops to `out` until it holds at least `target` ops or the
+    /// program ends; returns true, with [`Op::End`] appended, at the end.
+    /// `out` never grows past `target + max_overshoot()`, so a buffer of
+    /// that capacity is never reallocated.
+    pub(crate) fn fill(&mut self, out: &mut Vec<Op>, target: usize) -> bool {
+        while out.len() < target {
+            if self.done {
+                out.push(Op::End);
+                return true;
+            }
+            self.step(out);
+        }
+        false
+    }
+
+    /// Generates the next ops: enters (or skips) one nest, or runs the
+    /// current nest until a position emits or the nest ends.
+    fn step(&mut self, out: &mut Vec<Op>) {
+        if !self.in_nest {
+            self.enter_nest(out);
+            return;
+        }
+        let nest = &self.plan.nests[self.nest_idx];
+        let (work_ns, gathers) = (nest.work_ns, nest.gathers);
+        let inner = self.ivs.len() - 1;
+        loop {
+            let emitted = self.process_position(out);
+            // Without gathers, fast-forward past the window: its
+            // iterations emit nothing.
+            let skip = if gathers {
+                0
+            } else {
+                std::mem::take(&mut self.window)
+            };
+            self.ivs[inner] += skip;
+            self.acc_compute_ns += (1 + skip as u64) * work_ns;
+            self.iterations += 1 + skip as u64;
+            if !self.advance() {
+                // The nest is over: its release-directive tags go out
+                // of scope. Retiring them lets the run-time layer
+                // flush each tag's trailing one-behind page and drop
+                // the filter entry (which would otherwise leak one
+                // slot per directive across a long multi-phase run).
+                let retire = &self.plan.nests[self.nest_idx].retire;
+                out.extend(retire.iter().map(|&tag| Op::RetireTag { tag }));
+                self.in_nest = false;
+                self.nest_idx += 1;
+                return;
+            }
+            if emitted {
+                return;
+            }
+        }
+    }
+
+    /// Enters the next nest, or crosses one zero-trip nest or sweep
+    /// boundary; sets `done` when the program ends.
     ///
     /// Invocation boundaries emit sweep marks, so the engine records a
     /// per-sweep duration for the out-of-core program too (warm-up vs
     /// steady state).
-    fn enter_nest(&mut self) -> bool {
-        loop {
-            if self.invocation == 0 && self.nest_idx == 0 && self.iterations == 0 {
-                self.pending.push(Op::Mark(Mark::SweepStart));
+    fn enter_nest(&mut self, out: &mut Vec<Op>) {
+        if self.invocation == 0 && self.nest_idx == 0 && self.iterations == 0 {
+            out.push(Op::Mark(Mark::SweepStart));
+        }
+        if self.nest_idx >= self.plan.nests.len() {
+            // Account the tail of the sweep's compute inside the sweep.
+            self.flush_compute(out);
+            out.push(Op::Mark(Mark::SweepEnd));
+            self.invocation += 1;
+            self.nest_idx = 0;
+            if self.invocation >= self.plan.invocations {
+                self.done = true;
+                return;
             }
-            if self.nest_idx >= self.plan.nests.len() {
-                // Account the tail of the sweep's compute inside the sweep.
-                self.flush_compute();
-                self.pending.push(Op::Mark(Mark::SweepEnd));
-                self.invocation += 1;
-                self.nest_idx = 0;
-                if self.invocation >= self.plan.invocations {
-                    self.done = true;
-                    return false;
-                }
-                self.pending.push(Op::Mark(Mark::SweepStart));
+            out.push(Op::Mark(Mark::SweepStart));
+        }
+        let nest = &self.plan.nests[self.nest_idx];
+        self.trips.clear();
+        for (bound, spec) in &nest.loops {
+            self.trips.push(spec.resolve(*bound, self.invocation));
+        }
+        if self.trips.iter().any(|&t| t <= 0) {
+            self.nest_idx += 1;
+            return;
+        }
+        let nrefs = nest.refs.len();
+        self.ivs.clear();
+        self.ivs.resize(nest.loops.len(), 0);
+        self.linear.clear();
+        self.linear.resize(nrefs, 0);
+        self.pages.clear();
+        self.pages.resize(nrefs, Vpn(0));
+        self.last_page.clear();
+        self.last_page.resize(nrefs, None);
+        self.hint_prev.clear();
+        self.hint_prev.resize(nrefs, None);
+        self.prologue_done.clear();
+        self.prologue_done.resize(nrefs, false);
+        self.cache_outer();
+        self.in_nest = true;
+    }
+
+    /// Caches each of the nest's dimensions' outer-loop part at the
+    /// current outer iteration and restarts the window.
+    fn cache_outer(&mut self) {
+        let nest = &self.plan.nests[self.nest_idx];
+        self.outer.clear();
+        for d in &self.plan.dims[nest.dims.clone()] {
+            let mut v = d.constant;
+            for &(l, c) in &self.plan.terms[d.terms.clone()] {
+                v += c * self.ivs[l];
             }
-            let nest = &self.plan.nests[self.nest_idx];
-            self.trips.clear();
-            for (bound, spec) in &nest.loops {
-                self.trips.push(spec.resolve(*bound, self.invocation));
-            }
-            if self.trips.iter().any(|&t| t <= 0) {
-                self.nest_idx += 1;
+            self.outer.push(v);
+        }
+        self.window = 0;
+    }
+
+    /// Evaluates the nest's references at the current position: every
+    /// reference at a window's first position, which also opens the next
+    /// window; only the indirect ones inside it.
+    fn evaluate(&mut self) {
+        let nest = &self.plan.nests[self.nest_idx];
+        let dim0 = nest.dims.start;
+        let t = self.ivs[self.ivs.len() - 1];
+        let within = self.window > 0;
+        for (i, r) in self.plan.refs[nest.refs.clone()].iter().enumerate() {
+            if within && !r.gathers() {
                 continue;
             }
-            let nrefs = nest.refs.len();
-            self.ivs.clear();
-            self.ivs.resize(nest.loops.len(), 0);
-            self.linear.clear();
-            self.linear.resize(nrefs, 0);
-            self.pages.clear();
-            self.pages.resize(nrefs, Vpn(0));
-            self.last_page.clear();
-            self.last_page.resize(nrefs, None);
-            self.hint_prev.clear();
-            self.hint_prev.resize(nrefs, None);
-            self.prologue_done.clear();
-            self.prologue_done.resize(nrefs, false);
-            self.in_nest = true;
-            return true;
+            let linear = self.plan.linear_at(r, &self.outer, dim0, t);
+            self.linear[i] = linear;
+            self.pages[i] = self.plan.page(r, linear);
+        }
+        if within {
+            self.window -= 1;
+            if self.checked {
+                self.check_window();
+            }
+        } else {
+            self.window = self.affine_run() - 1;
+            if nest.gathers {
+                self.window += self.overrun;
+            }
         }
     }
 
-    /// Evaluates every reference of the nest at the current position.
-    fn evaluate(&mut self) {
-        let range = self.plan.nests[self.nest_idx].refs.clone();
-        for (i, r) in self.plan.refs[range].iter().enumerate() {
-            let linear = self.plan.linear(r, &self.ivs, 0);
-            self.linear[i] = linear;
-            self.pages[i] = self.plan.page(r, linear);
+    /// Checked-mode probe: every reference's page, re-evaluated from
+    /// scratch, equals the page the window and the cached outer-loop
+    /// parts gave it.
+    #[cold]
+    fn check_window(&self) {
+        let nest = &self.plan.nests[self.nest_idx];
+        for (i, r) in self.plan.refs[nest.refs.clone()].iter().enumerate() {
+            let want = self.plan.page(r, self.plan.linear(r, &self.ivs, 0));
+            if want != self.pages[i] {
+                // The executor runs ahead of the simulated clock, so the
+                // violation carries the program position instead.
+                InvariantViolation {
+                    at: SimTime::ZERO,
+                    subsystem: "runtime",
+                    invariant: "exec_window",
+                    detail: format!(
+                        "reference {i} of nest {} at iteration {:?} (invocation {}) \
+                         addresses {want} but its window kept it on {}",
+                        self.nest_idx, self.ivs, self.invocation, self.pages[i]
+                    ),
+                    tail: String::new(),
+                }
+                .raise();
+            }
         }
     }
 
     /// The page reference `r` will touch `ahead` innermost iterations from
     /// now (None when that lands past the loop bounds).
     fn future_page(&self, r: &RefPlan, ahead: u64) -> Option<Vpn> {
-        let inner = self.ivs.len() - 1;
-        if self.ivs[inner] + ahead as i64 >= self.trips[inner] {
+        let t = self.ivs[self.ivs.len() - 1] + ahead as i64;
+        if t >= self.trips[self.trips.len() - 1] {
             return None;
         }
+        let dim0 = self.plan.nests[self.nest_idx].dims.start;
         Some(
             self.plan
-                .page(r, self.plan.linear(r, &self.ivs, ahead as i64)),
+                .page(r, self.plan.linear_at(r, &self.outer, dim0, t)),
         )
     }
 
-    /// Iterations, starting at the position just processed, guaranteed to
-    /// stay on every reference's current page: at least 1, and no more
-    /// than the innermost loop has left.
-    fn silent_run(&self) -> i64 {
+    /// Iterations, starting at the position just evaluated, guaranteed to
+    /// keep every affine reference on its current page: at least 1, and no
+    /// more than the innermost loop has left. Indirect references do not
+    /// constrain it; one non-uniform reference makes it 1.
+    fn affine_run(&self) -> i64 {
         let inner = self.trips.len() - 1;
         let page_size = 1u64 << self.plan.page_shift;
         let mut k = (self.trips[inner] - self.ivs[inner]).max(1);
         let range = self.plan.nests[self.nest_idx].refs.clone();
         for (i, r) in self.plan.refs[range].iter().enumerate() {
-            let Some(db) = r.inner_delta.filter(|_| r.uniform) else {
-                return 1; // indirect or not uniform: cannot look ahead
+            let Some(db) = r.inner_delta else {
+                continue; // indirect: evaluated at every iteration
             };
+            if !r.uniform {
+                return 1; // its speed can change at an edge: no look-ahead
+            }
             if db == 0 {
                 continue;
             }
@@ -468,13 +695,15 @@ impl Executor {
     /// tracking: references whose page did not change (a reused vector, a
     /// scalar-like accumulator) are re-touched once per outer iteration, so
     /// the OS observes their reuse — the clock algorithm's sampling and the
-    /// releaser's re-reference check both depend on it.
+    /// releaser's re-reference check both depend on it. It also re-caches
+    /// the outer-loop parts, which restarts the window.
     fn advance(&mut self) -> bool {
         for d in (0..self.ivs.len()).rev() {
             self.ivs[d] += 1;
             if self.ivs[d] < self.trips[d] {
                 if d + 1 != self.ivs.len() {
                     self.last_page.fill(None);
+                    self.cache_outer();
                 }
                 return true;
             }
@@ -483,17 +712,16 @@ impl Executor {
         false
     }
 
-    fn flush_compute(&mut self) {
+    fn flush_compute(&mut self, out: &mut Vec<Op>) {
         if self.acc_compute_ns > 0 {
-            self.pending
-                .push(Op::Compute(SimDuration::from_nanos(self.acc_compute_ns)));
+            out.push(Op::Compute(SimDuration::from_nanos(self.acc_compute_ns)));
             self.acc_compute_ns = 0;
         }
     }
 
     /// Processes the current iteration position; returns true if ops were
     /// emitted.
-    fn process_position(&mut self) -> bool {
+    fn process_position(&mut self, out: &mut Vec<Op>) -> bool {
         self.evaluate();
         if self
             .last_page
@@ -503,7 +731,7 @@ impl Executor {
         {
             return false;
         }
-        self.flush_compute();
+        self.flush_compute(out);
         let range = self.plan.nests[self.nest_idx].refs.clone();
         for (i, r) in self.plan.refs[range].iter().enumerate() {
             let page = self.pages[i];
@@ -521,7 +749,7 @@ impl Executor {
                         // a[b[i+D]] pattern the paper cites for indirect
                         // prefetching.
                         if let Some(target) = self.future_page(r, pf.distance_pages) {
-                            self.pending.push(Op::PrefetchHint {
+                            out.push(Op::PrefetchHint {
                                 vpn: target,
                                 npages: 1,
                                 tag: pf.tag,
@@ -547,7 +775,7 @@ impl Executor {
                                 (pf.distance_pages + 1).min(r.last_page - page.0 + 1).max(1),
                             )
                         };
-                        self.pending.push(Op::PrefetchHint {
+                        out.push(Op::PrefetchHint {
                             vpn,
                             npages,
                             tag: pf.tag,
@@ -562,7 +790,7 @@ impl Executor {
                             page.0.saturating_sub(pf.distance_pages)
                         };
                         if target >= r.base && target <= r.last_page {
-                            self.pending.push(Op::PrefetchHint {
+                            out.push(Op::PrefetchHint {
                                 vpn: Vpn(target),
                                 npages: 1,
                                 tag: pf.tag,
@@ -572,13 +800,13 @@ impl Executor {
                 }
             }
 
-            self.pending.push(Op::Touch {
+            out.push(Op::Touch {
                 vpn: page,
                 write: r.write,
             });
 
             if let Some(rel) = r.dir.release {
-                self.pending.push(Op::ReleaseHint {
+                out.push(Op::ReleaseHint {
                     vpn: page,
                     priority: rel.priority,
                     tag: rel.tag,
@@ -603,38 +831,9 @@ impl OpStream for Executor {
             if self.done {
                 return Op::End;
             }
-            if !self.in_nest && !self.enter_nest() {
-                self.flush_compute();
-                continue;
-            }
-            // Execute iterations until something is emitted or the nest ends.
-            let work_ns = self.plan.nests[self.nest_idx].work_ns;
-            loop {
-                let emitted = self.process_position();
-                // Fast-forward past the iterations that stay on the pages
-                // just processed: they emit nothing.
-                let skip = self.silent_run() - 1;
-                let inner = self.ivs.len() - 1;
-                self.ivs[inner] += skip;
-                self.acc_compute_ns += (1 + skip as u64) * work_ns;
-                self.iterations += 1 + skip as u64;
-                if !self.advance() {
-                    // The nest is over: its release-directive tags go out
-                    // of scope. Retiring them lets the run-time layer
-                    // flush each tag's trailing one-behind page and drop
-                    // the filter entry (which would otherwise leak one
-                    // slot per directive across a long multi-phase run).
-                    let retire = &self.plan.nests[self.nest_idx].retire;
-                    self.pending
-                        .extend(retire.iter().map(|&tag| Op::RetireTag { tag }));
-                    self.in_nest = false;
-                    self.nest_idx += 1;
-                    break;
-                }
-                if emitted {
-                    break;
-                }
-            }
+            let mut out = std::mem::take(&mut self.pending);
+            self.step(&mut out);
+            self.pending = out;
         }
     }
 }
@@ -962,6 +1161,78 @@ mod tests {
             a_pages.len()
         );
         assert_eq!(ex.iterations(), n as u64);
+    }
+
+    /// `p[idx[i]]` beside `idx[i]` (4096 per page) and `v[i]` (512 per
+    /// page): the gather's windows end where `v` crosses a page.
+    fn gather_beside_streams() -> Executor {
+        let n: i64 = 8192;
+        let mut p = SourceProgram::new("gather");
+        let v = p.array("v", 32, vec![Bound::Known(n)]);
+        let idx = p.array("idx", 4, vec![Bound::Known(n)]);
+        let pv = p.array("p", 8, vec![Bound::Known(n)]);
+        p.nest(
+            NestBuilder::new("main")
+                .counted_loop(Bound::Known(n))
+                .work_ns(20)
+                .reference(ArrayRef::read(v, vec![Ix::aff(Affine::var(l(0)))]))
+                .reference(ArrayRef::read(idx, vec![Ix::aff(Affine::var(l(0)))]))
+                .reference(ArrayRef::read(
+                    pv,
+                    vec![Ix::Indirect {
+                        via: idx,
+                        subscript: Affine::var(l(0)),
+                    }],
+                ))
+                .build(),
+        );
+        let prog = compile(&p, &CompileOptions::prefetch_and_release(machine()));
+        let array = |base, elem_size| ArrayBinding {
+            base_vpn: Vpn(base),
+            dims: vec![n],
+            elem_size,
+        };
+        let mut indirect = HashMap::new();
+        indirect.insert(
+            idx,
+            IndirectGen {
+                seed: 9,
+                range: n as u64,
+            },
+        );
+        let bind = Bindings {
+            arrays: vec![array(0, 32), array(1000, 4), array(2000, 8)],
+            indirect,
+            page_size: PAGE,
+            trips: vec![vec![TripSpec::Static]],
+            invocations: 1,
+        };
+        Executor::new(prog, bind)
+    }
+
+    #[test]
+    fn checked_window_probe_passes_clean_and_catches_an_overrun() {
+        let plain = drain(&mut gather_beside_streams());
+        let mut checked = gather_beside_streams();
+        checked.set_checked(true);
+        assert_eq!(drain(&mut checked), plain, "the probe only observes");
+
+        // Unchecked, an overrun window silently keeps `v` on a stale page.
+        let mut blind = gather_beside_streams();
+        blind.overrun_windows(1);
+        assert_ne!(drain(&mut blind), plain);
+
+        let mut corrupt = gather_beside_streams();
+        corrupt.set_checked(true);
+        corrupt.overrun_windows(1);
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drain(&mut corrupt)))
+                .expect_err("the overrun is caught");
+        let v = payload
+            .downcast_ref::<InvariantViolation>()
+            .expect("a typed violation");
+        assert_eq!((v.subsystem, v.invariant), ("runtime", "exec_window"));
+        assert!(v.detail.contains("iteration [512]"), "{}", v.detail);
     }
 
     #[test]

@@ -330,7 +330,8 @@ impl RuntimeLayer {
     /// Processes a prefetch hint for `npages` pages starting at `vpn`.
     ///
     /// Returns the pages that should actually be prefetched (bitmap check
-    /// filtered the rest) and the user-CPU cost of the checking.
+    /// filtered the rest) and the user-CPU cost of the checking. The
+    /// allocating form of [`RuntimeLayer::prefetch_hint`].
     pub fn on_prefetch_hint(
         &mut self,
         vm: &VmSys,
@@ -340,22 +341,41 @@ impl RuntimeLayer {
         npages: u64,
         tag: u32,
     ) -> (Vec<Vpn>, SimDuration) {
-        let mut to_issue = Vec::new();
+        let mut out = Vec::new();
+        let cost = self.prefetch_hint(vm, pid, now, (vpn, npages, tag), &mut out);
+        (out, cost)
+    }
+
+    /// Processes a prefetch hint `(vpn, npages, tag)`, appending the pages
+    /// to prefetch to `out`; returns the user-CPU cost of the checking.
+    /// With no fault plan armed the hint goes straight to the filters.
+    pub fn prefetch_hint(
+        &mut self,
+        vm: &VmSys,
+        pid: Pid,
+        now: SimTime,
+        (vpn, npages, tag): (Vpn, u64, u32),
+        out: &mut Vec<Vpn>,
+    ) -> SimDuration {
+        if self.fault_rng.is_none() && self.delayed_prefetch.is_empty() {
+            return self.prefetch_core(vm, pid, now, (vpn, npages, tag), out);
+        }
         let mut cost = SimDuration::ZERO;
         // Deliver hints the fault layer held back, ahead of this one.
         while let Some(hint) = self.delayed_prefetch.pop_front() {
-            cost += self.prefetch_core(vm, pid, now, hint, &mut to_issue);
+            cost += self.prefetch_core(vm, pid, now, hint, out);
         }
         for hint in self.perturb(now, vpn, npages, tag, false) {
-            cost += self.prefetch_core(vm, pid, now, hint, &mut to_issue);
+            cost += self.prefetch_core(vm, pid, now, hint, out);
         }
-        (to_issue, cost)
+        cost
     }
 
     /// Processes a release hint `(vpn, priority, tag)`.
     ///
     /// Returns the pages whose release should be issued to the OS now, and
-    /// the user-CPU cost of the layer's work.
+    /// the user-CPU cost of the layer's work. The allocating form of
+    /// [`RuntimeLayer::release_hint`].
     pub fn on_release_hint(
         &mut self,
         vm: &VmSys,
@@ -366,19 +386,39 @@ impl RuntimeLayer {
         tag: u32,
     ) -> (Vec<Vpn>, SimDuration) {
         let mut out = Vec::new();
+        let cost = self.release_hint(vm, pid, now, (vpn, priority, tag), &mut out);
+        (out, cost)
+    }
+
+    /// Processes a release hint `(vpn, priority, tag)`, appending the
+    /// pages to release now to `out`; returns the user-CPU cost of the
+    /// layer's work. With no fault plan armed the hint goes straight to
+    /// the filters.
+    pub fn release_hint(
+        &mut self,
+        vm: &VmSys,
+        pid: Pid,
+        now: SimTime,
+        (vpn, priority, tag): (Vpn, u32, u32),
+        out: &mut Vec<Vpn>,
+    ) -> SimDuration {
+        if self.fault_rng.is_none() && self.delayed_release.is_empty() {
+            return self.release_core(vm, pid, now, (vpn, priority, tag), out);
+        }
         let mut cost = SimDuration::ZERO;
         while let Some(hint) = self.delayed_release.pop_front() {
-            cost += self.release_core(vm, pid, now, hint, &mut out);
+            cost += self.release_core(vm, pid, now, hint, out);
         }
         for (v, p, t) in self.perturb(now, vpn, u64::from(priority), tag, true) {
-            cost += self.release_core(vm, pid, now, (v, p as u32, t), &mut out);
+            cost += self.release_core(vm, pid, now, (v, p as u32, t), out);
         }
-        (out, cost)
+        cost
     }
 
     /// Retires directive `tag` on loop-nest exit: evicts its one-behind
     /// filter entry and handles the trailing recorded page through the
-    /// policy (the nest is over, so no further reuse is expected).
+    /// policy (the nest is over, so no further reuse is expected). The
+    /// allocating form of [`RuntimeLayer::retire_tag`].
     pub fn on_retire_tag(
         &mut self,
         vm: &VmSys,
@@ -386,19 +426,33 @@ impl RuntimeLayer {
         now: SimTime,
         tag: u32,
     ) -> (Vec<Vpn>, SimDuration) {
+        let mut out = Vec::new();
+        let cost = self.retire_tag(vm, pid, now, tag, &mut out);
+        (out, cost)
+    }
+
+    /// Retires directive `tag` (see [`RuntimeLayer::on_retire_tag`]),
+    /// appending the pages to release now to `out`; returns the user-CPU
+    /// cost.
+    pub fn retire_tag(
+        &mut self,
+        vm: &VmSys,
+        pid: Pid,
+        now: SimTime,
+        tag: u32,
+        out: &mut Vec<Vpn>,
+    ) -> SimDuration {
         self.stats.tags_retired += 1;
         let Some(trailing) = self.tags.retire_tag(tag) else {
-            return (Vec::new(), SimDuration::ZERO);
+            return SimDuration::ZERO;
         };
         let cost = self.config.hint_check;
         if self.health.as_ref().is_some_and(|h| h.tag_degraded(tag)) {
             self.push_degraded(trailing);
-            return (Vec::new(), cost);
+            return cost;
         }
         // The nest is over, so no further reuse is expected: priority 0.
-        let mut out = Vec::new();
-        let tail = self.release_tail(vm, pid, now, (trailing, 0, tag), &mut out);
-        (out, cost + tail)
+        cost + self.release_tail(vm, pid, now, (trailing, 0, tag), out)
     }
 
     /// Feedback from the VM about a touch on `vpn`: attributes release

@@ -12,6 +12,8 @@
 //!   [`compiler::AnnotatedProgram`] against run-time [`bindings`] (actual
 //!   array placements, actual loop bounds, indirection data), emitting
 //!   touches and hints page by page.
+//! * [`handoff`] — the producer thread that runs an executor beside the
+//!   engine and hands its ops over in recycled chunks.
 //! * [`filter`] — the "simple checks": the shared-page bitmap check and the
 //!   per-tag *one-behind* filter ("the releases issued by the run-time
 //!   layer are thus always one or more iterations behind those identified
@@ -36,6 +38,7 @@ pub mod bindings;
 pub mod brownout;
 pub mod exec;
 pub mod filter;
+pub mod handoff;
 pub mod health;
 pub mod layer;
 pub mod ops;
@@ -47,6 +50,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, Admiss
 pub use bindings::{ArrayBinding, Bindings, IndirectGen, TripSpec};
 pub use brownout::{BrownoutConfig, BrownoutController};
 pub use exec::Executor;
+pub use handoff::Pipelined;
 pub use health::{HealthConfig, HealthStats, HintHealth};
 pub use layer::{RtConfig, RtStats, RuntimeLayer};
 pub use ops::{Mark, Op, OpStream};

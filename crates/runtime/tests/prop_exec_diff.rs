@@ -22,6 +22,10 @@
 //! handles: 2-D affine and indirect references, 1-D affine streams, 1-D
 //! gathers with lookahead (BUK, CGM), 3-D stencils clamped at the grid
 //! edges (MGRID), and element sizes that do not divide the page size.
+//! Four shapes aim at the gather window, inside which only indirect
+//! references are evaluated: affine streams crossing pages mid-window,
+//! outer-loop carries that restart it, a non-uniform reference that
+//! shrinks it to one iteration, and subscripts clamped at both ends.
 
 use sim_core::check::{self, run_cases};
 use sim_core::rng::Pcg32;
@@ -196,6 +200,161 @@ fn random_odd_elements(rng: &mut Pcg32) -> ProgSpec {
     };
     spec.elem_size = [3, 12, 24, 40, 56, 120][rng.next_below(6) as usize];
     spec
+}
+
+/// A gather `a[b[..]]...` (dimension 0 through `b`) with coefficients
+/// and constants from the given ranges, prefetched ahead half the time.
+fn gather_ref(
+    rng: &mut Pcg32,
+    loops: usize,
+    dims: usize,
+    coeff: (i64, i64),
+    constant: (i64, i64),
+) -> RefSpec {
+    RefSpec {
+        dims: (0..dims)
+            .map(|_| dim(rng, loops, coeff, constant))
+            .collect(),
+        indirect: true,
+        lookahead: check::chance(rng, 0.5).then(|| check::int_in(rng, 1, 12)),
+    }
+}
+
+/// Gathers beside affine streams that cross pages mid-window: forward,
+/// backward and strided streams over elements of several sizes, each
+/// starting at its own offset into a page, under one or two loops.
+fn random_gather_windows(rng: &mut Pcg32) -> ProgSpec {
+    let loops = check::int_in(rng, 1, 3) as usize;
+    let trips: Vec<i64> = (0..loops)
+        .map(|l| {
+            if l + 1 == loops {
+                small(rng, 20, 90)
+            } else {
+                small(rng, 1, 4)
+            }
+        })
+        .collect();
+    let gathers = check::int_in(rng, 1, 3);
+    let streams = check::int_in(rng, 1, 4);
+    let mut refs: Vec<RefSpec> = (0..gathers)
+        .map(|_| gather_ref(rng, loops, 1, (0, 3), (-3, 4)))
+        .collect();
+    refs.extend((0..streams).map(|_| RefSpec {
+        dims: vec![dim(rng, loops, (-3, 4), (-8, 300))],
+        indirect: false,
+        lookahead: None,
+    }));
+    ProgSpec {
+        trips,
+        extents: vec![small(rng, 64, 400)],
+        elem_size: [8, 24, 40][rng.next_below(3) as usize],
+        refs,
+        invocations: check::int_in(rng, 1, 3) as u32,
+        work_ns: check::int_in(rng, 1, 100),
+    }
+}
+
+/// 2-D nests over a 2-D array whose outer loops carry mid-stream: a
+/// gather on the row index beside row-major affine references, so every
+/// carry must restart the window.
+fn random_2d_gather_carries(rng: &mut Pcg32) -> ProgSpec {
+    let loops = check::int_in(rng, 2, 4) as usize;
+    let trips: Vec<i64> = (0..loops)
+        .map(|l| {
+            if l + 1 == loops {
+                small(rng, 5, 70)
+            } else {
+                small(rng, 2, 5)
+            }
+        })
+        .collect();
+    let mut refs = vec![gather_ref(rng, loops, 2, (0, 2), (-2, 3))];
+    refs.extend((0..check::int_in(rng, 1, 4)).map(|_| RefSpec {
+        dims: vec![dim(rng, loops, (0, 2), (-2, 6)), {
+            // The column index moves with the innermost loop only.
+            let mut d = dim(rng, loops, (0, 1), (-4, 40));
+            d.coeffs[loops - 1] = small(rng, -2, 3);
+            d
+        }],
+        indirect: false,
+        lookahead: None,
+    }));
+    ProgSpec {
+        trips,
+        extents: vec![small(rng, 4, 12), small(rng, 40, 120)],
+        elem_size: 8,
+        refs,
+        invocations: check::int_in(rng, 1, 3) as u32,
+        work_ns: check::int_in(rng, 1, 100),
+    }
+}
+
+/// A non-uniform affine reference — both of its indices move with the
+/// innermost loop, so one clamping at an edge changes its speed — beside
+/// a gather: the window must shrink to one iteration.
+fn random_non_uniform_beside_gather(rng: &mut Pcg32) -> ProgSpec {
+    let loops = check::int_in(rng, 1, 3) as usize;
+    let trips: Vec<i64> = (0..loops).map(|_| small(rng, 1, 40)).collect();
+    let moving = |rng: &mut Pcg32| {
+        let mut d = dim(rng, loops, (-1, 2), (-6, 8));
+        d.coeffs[loops - 1] = [-2, -1, 1, 2, 3][rng.next_below(5) as usize];
+        d
+    };
+    let mut refs = vec![
+        gather_ref(rng, loops, 2, (0, 3), (-3, 4)),
+        RefSpec {
+            dims: vec![moving(rng), moving(rng)],
+            indirect: false,
+            lookahead: None,
+        },
+    ];
+    if check::chance(rng, 0.5) {
+        refs.push(RefSpec {
+            dims: (0..2).map(|_| dim(rng, loops, (-2, 3), (-4, 30))).collect(),
+            indirect: false,
+            lookahead: None,
+        });
+    }
+    ProgSpec {
+        trips,
+        extents: vec![small(rng, 3, 10), small(rng, 8, 40)],
+        elem_size: 8,
+        refs,
+        invocations: check::int_in(rng, 1, 3) as u32,
+        work_ns: check::int_in(rng, 1, 100),
+    }
+}
+
+/// Gathers whose subscripts run off both ends of the index array (and
+/// whose gathered values run past `a`), so the subscript clamps into `b`
+/// and the value into `a`, beside an affine stream.
+fn random_clamped_gathers(rng: &mut Pcg32) -> ProgSpec {
+    let loops = check::int_in(rng, 1, 3) as usize;
+    let trips: Vec<i64> = (0..loops)
+        .map(|l| {
+            if l + 1 == loops {
+                small(rng, 10, 100)
+            } else {
+                small(rng, 1, 4)
+            }
+        })
+        .collect();
+    let mut refs: Vec<RefSpec> = (0..check::int_in(rng, 1, 3))
+        .map(|_| gather_ref(rng, loops, 1, (-2, 4), (-40, IDX_LEN + 20)))
+        .collect();
+    refs.push(RefSpec {
+        dims: vec![dim(rng, loops, (-2, 3), (-8, 60))],
+        indirect: false,
+        lookahead: None,
+    });
+    ProgSpec {
+        trips,
+        extents: vec![small(rng, 8, 200)],
+        elem_size: 8,
+        refs,
+        invocations: check::int_in(rng, 1, 3) as u32,
+        work_ns: check::int_in(rng, 1, 100),
+    }
 }
 
 /// Builds the executor for a spec. Arrays: `a` (the target) and `b`
@@ -398,4 +557,24 @@ fn three_dimensional_clamped_stencils_match_reference() {
 #[test]
 fn element_sizes_not_dividing_the_page_match_reference() {
     differential(0x0DD5, 256, random_odd_elements);
+}
+
+#[test]
+fn gathers_beside_streams_crossing_pages_mid_window_match_reference() {
+    differential(0x6A7E, 256, random_gather_windows);
+}
+
+#[test]
+fn two_dimensional_gather_nests_restart_windows_on_carries() {
+    differential(0x2DCA, 256, random_2d_gather_carries);
+}
+
+#[test]
+fn non_uniform_reference_beside_a_gather_matches_reference() {
+    differential(0x0A0F, 256, random_non_uniform_beside_gather);
+}
+
+#[test]
+fn clamped_gather_subscripts_match_reference() {
+    differential(0xC1A4, 256, random_clamped_gathers);
 }

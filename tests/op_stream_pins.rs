@@ -9,13 +9,17 @@
 //! release hints and `RetireTag`s land. Arrays are mapped exactly as the
 //! engine maps them, so the streams are the ones a run executes.
 //!
+//! The same streams, drained through the producer thread the engine
+//! runs an executor on when it has a core to spare, must equal the
+//! inline ones.
+//!
 //! A moved pin is a change in what the compiled programs ask of the OS.
 //! If that is intended, print the new table with
 //! `cargo test --release --test op_stream_pins -- --nocapture` and update
 //! the pins together with the explanation.
 
 use hogtame::prelude::*;
-use runtime::{Executor, Mark, Op, OpStream};
+use runtime::{Executor, Mark, Op, OpStream, Pipelined};
 use sim_core::fingerprint::Fnv1a;
 use vm::{Backing, VmSys};
 use workloads::BenchSpec;
@@ -23,9 +27,9 @@ use workloads::BenchSpec;
 /// Backstop against a runaway executor.
 const OP_GUARD: u64 = 100_000_000;
 
-/// Digest of the full op stream of `spec` compiled as `version` and mapped
-/// as the engine maps a benchmark process.
-fn op_digest(spec: &BenchSpec, version: Version, machine: &MachineConfig) -> u64 {
+/// The executor of `spec` compiled as `version`, its arrays mapped as
+/// the engine maps a benchmark process.
+fn executor(spec: &BenchSpec, version: Version, machine: &MachineConfig) -> Executor {
     let prog = compiler::compile(&spec.source, &version.compile_options(machine));
     let mut vm = VmSys::with_defaults(1);
     let pid = vm.add_process(true);
@@ -42,13 +46,18 @@ fn op_digest(spec: &BenchSpec, version: Version, machine: &MachineConfig) -> u64
             .start
         })
         .collect();
-    let mut ex = Executor::new(prog, spec.bindings(&bases, machine.page_size));
+    Executor::new(prog, spec.bindings(&bases, machine.page_size))
+}
+
+/// Feeds every op of `stream` up to its `End` into a digest; returns it
+/// with the op count.
+fn stream_digest(stream: &mut dyn OpStream, name: &str) -> (Fnv1a, u64) {
     let mut h = Fnv1a::new();
     let mut ops = 0u64;
     loop {
         ops += 1;
-        assert!(ops < OP_GUARD, "executor runaway in {}", spec.name);
-        match ex.next_op() {
+        assert!(ops < OP_GUARD, "executor runaway in {name}");
+        match stream.next_op() {
             Op::Compute(d) => {
                 h.write_u64(1);
                 h.write_u64(d.as_nanos());
@@ -85,6 +94,14 @@ fn op_digest(spec: &BenchSpec, version: Version, machine: &MachineConfig) -> u64
             Op::End => break,
         }
     }
+    (h, ops)
+}
+
+/// Digest of the full op stream of `spec` compiled as `version` and mapped
+/// as the engine maps a benchmark process.
+fn op_digest(spec: &BenchSpec, version: Version, machine: &MachineConfig) -> u64 {
+    let mut ex = executor(spec, version, machine);
+    let (mut h, ops) = stream_digest(&mut ex, &spec.name);
     h.write_u64(ops);
     h.write_u64(ex.iterations());
     h.finish()
@@ -195,4 +212,25 @@ fn fuzz_corpus_op_streams_are_pinned() {
         );
     }
     assert_eq!(got, FUZZ_PINS, "fuzz-corpus op streams moved");
+}
+
+/// Every suite cell's executor yields the same ops on a producer thread
+/// as inline (B compiles exactly as R).
+#[test]
+fn pipelined_op_streams_equal_inline_streams() {
+    let machine = MachineConfig::origin200();
+    for spec in workloads::all_benchmarks() {
+        for version in [Version::Original, Version::Prefetch, Version::Release] {
+            let inline = stream_digest(&mut executor(&spec, version, &machine), &spec.name);
+            let mut piped = Pipelined::spawn(executor(&spec, version, &machine));
+            let piped = stream_digest(&mut piped, &spec.name);
+            assert_eq!(
+                (piped.0.finish(), piped.1),
+                (inline.0.finish(), inline.1),
+                "{}-{} differs on the producer thread",
+                spec.name,
+                version.label()
+            );
+        }
+    }
 }
