@@ -95,9 +95,12 @@ pub fn install_bench(
 ) -> Pid {
     let (pid, exec) = map_bench(engine, spec, version);
     // With a core to spare, the executor runs beside the engine; the op
-    // stream is the same either way.
+    // stream is the same either way, so a refused thread runs it inline.
     let stream: Box<dyn OpStream> = if engine.spare_core() {
-        Box::new(Pipelined::spawn(exec))
+        match Pipelined::spawn(exec) {
+            Ok(piped) => Box::new(piped),
+            Err(exec) => exec,
+        }
     } else {
         Box::new(exec)
     };
@@ -458,7 +461,7 @@ mod tests {
             let (pid, mut exec) = map_bench(&mut engine, &spec, Version::Prefetch);
             exec.overrun_windows(4096);
             let stream: Box<dyn OpStream> = if pipelined {
-                Box::new(Pipelined::spawn(exec))
+                Box::new(Pipelined::spawn(exec).ok().expect("a producer thread"))
             } else {
                 Box::new(exec)
             };

@@ -371,6 +371,7 @@ pub struct Executor {
     /// Checked mode: positions inside a window re-evaluate every reference.
     checked: bool,
     /// Test-only corruption: iterations added to every gather window.
+    #[cfg(any(test, feature = "test-hooks"))]
     overrun: i64,
 }
 
@@ -434,6 +435,7 @@ impl Executor {
             done: false,
             iterations: 0,
             checked: false,
+            #[cfg(any(test, feature = "test-hooks"))]
             overrun: 0,
         }
     }
@@ -445,7 +447,8 @@ impl Executor {
 
     /// Checked-mode self test: stretches every gather window by `by`
     /// iterations, so affine references are trusted past their page.
-    #[doc(hidden)]
+    /// Built only for tests (and the `test-hooks` feature).
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn overrun_windows(&mut self, by: i64) {
         self.overrun = by;
     }
@@ -606,6 +609,7 @@ impl Executor {
             }
         } else {
             self.window = self.affine_run() - 1;
+            #[cfg(any(test, feature = "test-hooks"))]
             if nest.gathers {
                 self.window += self.overrun;
             }

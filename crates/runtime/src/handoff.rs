@@ -17,7 +17,9 @@
 //! on the producer thread (a checked-mode [`InvariantViolation`], say)
 //! resumes on the engine thread with its payload at the op where the
 //! inline executor would have raised it. Dropping a [`Pipelined`] stops
-//! the producer and joins it, so no thread outlives the stream.
+//! the producer and joins it, so no thread outlives the stream. The
+//! thread only saves wall time: when the operating system refuses it,
+//! [`Pipelined::spawn`] hands the executor back to run inline.
 //!
 //! [`InvariantViolation`]: sim_core::sanitizer::InvariantViolation
 
@@ -61,6 +63,9 @@ pub fn live_producers() -> usize {
 /// (each stored with `Release` after the slot is unlocked, loaded with
 /// `Acquire` before it is locked).
 struct Shared {
+    /// The executor, until the producer takes it: it stays here when no
+    /// thread can be made, so the caller can run it inline.
+    exec: Mutex<Option<Executor>>,
     slots: [Mutex<Vec<Op>>; SLOTS as usize],
     /// Chunks the producer has published.
     published: AtomicU64,
@@ -96,8 +101,14 @@ fn backoff(spins: &mut u32) {
 
 /// The producer: fills slot `k % SLOTS` once the consumer has taken chunk
 /// `k - SLOTS`, until the program ends or the consumer stops it.
-fn produce(mut exec: Executor, shared: &Shared) {
+fn produce(shared: &Shared) {
     let _exit = ExitGuard(shared);
+    let mut exec = shared
+        .exec
+        .lock()
+        .expect("the executor's lock is only ever held to move it")
+        .take()
+        .expect("the executor waits for its producer");
     for k in 0u64.. {
         let mut spins = 0;
         while k - shared.taken.load(Ordering::Acquire) >= SLOTS {
@@ -147,14 +158,16 @@ pub struct Pipelined {
 }
 
 impl Pipelined {
-    /// Starts `exec` on a producer thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operating system refuses the thread.
-    pub fn spawn(exec: Executor) -> Self {
+    /// Starts `exec` on a producer thread. If the operating system
+    /// refuses the thread, hands `exec` back, boxed, to run inline.
+    pub fn spawn(exec: Executor) -> Result<Self, Box<Executor>> {
+        Self::spawn_with_stack(exec, STACK)
+    }
+
+    fn spawn_with_stack(exec: Executor, stack: usize) -> Result<Self, Box<Executor>> {
         let cap = CHUNK + exec.max_overshoot();
         let shared = Arc::new(Shared {
+            exec: Mutex::new(Some(exec)),
             slots: std::array::from_fn(|_| Mutex::new(Vec::with_capacity(cap))),
             published: AtomicU64::new(0),
             taken: AtomicU64::new(0),
@@ -163,20 +176,28 @@ impl Pipelined {
             consumer: thread::current(),
         });
         let theirs = Arc::clone(&shared);
-        let producer = thread::Builder::new()
+        let spawned = thread::Builder::new()
             .name(THREAD_NAME.into())
-            .stack_size(STACK)
-            .spawn(move || produce(exec, &theirs))
-            .expect("spawn the executor's producer thread");
+            .stack_size(stack)
+            .spawn(move || produce(&theirs));
+        let Ok(producer) = spawned else {
+            // No thread ran, so the executor is still in its slot.
+            let exec = shared
+                .exec
+                .lock()
+                .expect("the executor's lock is only ever held to move it")
+                .take();
+            return Err(Box::new(exec.expect("no producer took the executor")));
+        };
         LIVE.fetch_add(1, Ordering::AcqRel);
-        Pipelined {
+        Ok(Pipelined {
             shared,
             chunk: Vec::with_capacity(cap),
             next: 0,
             taken: 0,
             producer: Some(producer),
             _home: PhantomData,
-        }
+        })
     }
 
     /// Joins the producer, once.
@@ -325,14 +346,29 @@ mod tests {
     fn pipelined_stream_equals_inline_stream() {
         let want = drain(&mut gather(20_000));
         assert!(want.len() > 3 * CHUNK, "spans several chunks");
-        let mut piped = Pipelined::spawn(gather(20_000));
+        let mut piped = Pipelined::spawn(gather(20_000))
+            .ok()
+            .expect("a producer thread");
         assert_eq!(drain(&mut piped), want);
         assert_eq!(piped.next_op(), Op::End, "End repeats");
     }
 
     #[test]
+    fn a_refused_thread_hands_the_executor_back_to_run_inline() {
+        let want = drain(&mut gather(20_000));
+        // No address space holds a 4 EiB stack, so the operating system
+        // refuses the thread without reserving anything.
+        let Err(mut exec) = Pipelined::spawn_with_stack(gather(20_000), 1 << 62) else {
+            panic!("a 4 EiB stack was granted");
+        };
+        assert_eq!(drain(&mut *exec), want, "the executor is untouched");
+    }
+
+    #[test]
     fn dropping_midway_stops_and_joins_the_producer() {
-        let mut piped = Pipelined::spawn(gather(20_000));
+        let mut piped = Pipelined::spawn(gather(20_000))
+            .ok()
+            .expect("a producer thread");
         for _ in 0..10 {
             piped.next_op();
         }
@@ -369,7 +405,7 @@ mod tests {
         };
         let inline = raise(&mut corrupt());
         assert_eq!(inline.0, "exec_window");
-        let mut piped = Pipelined::spawn(corrupt());
+        let mut piped = Pipelined::spawn(corrupt()).ok().expect("a producer thread");
         assert_eq!(raise(&mut piped), inline, "same violation at the same op");
         drop(piped);
     }

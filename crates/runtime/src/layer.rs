@@ -348,7 +348,6 @@ impl RuntimeLayer {
 
     /// Processes a prefetch hint `(vpn, npages, tag)`, appending the pages
     /// to prefetch to `out`; returns the user-CPU cost of the checking.
-    /// With no fault plan armed the hint goes straight to the filters.
     pub fn prefetch_hint(
         &mut self,
         vm: &VmSys,
@@ -357,9 +356,6 @@ impl RuntimeLayer {
         (vpn, npages, tag): (Vpn, u64, u32),
         out: &mut Vec<Vpn>,
     ) -> SimDuration {
-        if self.fault_rng.is_none() && self.delayed_prefetch.is_empty() {
-            return self.prefetch_core(vm, pid, now, (vpn, npages, tag), out);
-        }
         let mut cost = SimDuration::ZERO;
         // Deliver hints the fault layer held back, ahead of this one.
         while let Some(hint) = self.delayed_prefetch.pop_front() {
@@ -392,8 +388,7 @@ impl RuntimeLayer {
 
     /// Processes a release hint `(vpn, priority, tag)`, appending the
     /// pages to release now to `out`; returns the user-CPU cost of the
-    /// layer's work. With no fault plan armed the hint goes straight to
-    /// the filters.
+    /// layer's work.
     pub fn release_hint(
         &mut self,
         vm: &VmSys,
@@ -402,9 +397,6 @@ impl RuntimeLayer {
         (vpn, priority, tag): (Vpn, u32, u32),
         out: &mut Vec<Vpn>,
     ) -> SimDuration {
-        if self.fault_rng.is_none() && self.delayed_release.is_empty() {
-            return self.release_core(vm, pid, now, (vpn, priority, tag), out);
-        }
         let mut cost = SimDuration::ZERO;
         while let Some(hint) = self.delayed_release.pop_front() {
             cost += self.release_core(vm, pid, now, hint, out);

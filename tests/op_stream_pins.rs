@@ -222,7 +222,9 @@ fn pipelined_op_streams_equal_inline_streams() {
     for spec in workloads::all_benchmarks() {
         for version in [Version::Original, Version::Prefetch, Version::Release] {
             let inline = stream_digest(&mut executor(&spec, version, &machine), &spec.name);
-            let mut piped = Pipelined::spawn(executor(&spec, version, &machine));
+            let mut piped = Pipelined::spawn(executor(&spec, version, &machine))
+                .ok()
+                .expect("a producer thread");
             let piped = stream_digest(&mut piped, &spec.name);
             assert_eq!(
                 (piped.0.finish(), piped.1),
