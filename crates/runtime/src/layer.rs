@@ -90,59 +90,61 @@ impl Default for RtConfig {
     }
 }
 
-/// Run-time layer statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RtStats {
-    /// Prefetch hints seen (pages).
-    pub prefetch_hints: u64,
-    /// Prefetch pages dropped because the bitmap showed them resident.
-    pub prefetch_filtered: u64,
-    /// Prefetch pages forwarded to the OS.
-    pub prefetch_issued: u64,
-    /// Release hints seen.
-    pub release_hints: u64,
-    /// Releases dropped by the same-page tag check.
-    pub release_same_page: u64,
-    /// Releases dropped because the page was not resident.
-    pub release_filtered_bitmap: u64,
-    /// Releases forwarded to the OS immediately.
-    pub release_issued_direct: u64,
-    /// Releases buffered for later.
-    pub release_buffered: u64,
-    /// Buffered releases drained to the OS by memory pressure.
-    pub release_drained: u64,
-    /// Hints the fault layer dropped before the filters saw them.
-    pub hints_dropped: u64,
-    /// Hints the fault layer held back behind the next hint.
-    pub hints_delayed: u64,
-    /// Hints the fault layer delivered twice.
-    pub hints_duplicated: u64,
-    /// Hints whose tag the fault layer rewrote.
-    pub hints_mistagged: u64,
-    /// Bitmap reads served from the stale cache with a wrong value.
-    pub stale_reads: u64,
-    /// Hints the health monitor degraded to reactive behavior.
-    pub hints_suppressed: u64,
-    /// Releases cancelled by a re-reference (misfire feedback).
-    pub misfires_cancelled: u64,
-    /// Released pages rescued back off the free list (misfire feedback).
-    pub misfires_rescued: u64,
-    /// Prefetches that reached the OS already resident (misfire feedback).
-    pub misfires_useless_prefetch: u64,
-    /// Directive tags retired on loop-nest exit.
-    pub tags_retired: u64,
-    /// Prefetch pages rejected by the admission rate limiter.
-    pub prefetch_rejected: u64,
-    /// Release hints rejected by the admission rate limiter.
-    pub release_rejected: u64,
-    /// Advisory (low-trust) prefetch pages dropped for lack of free
-    /// headroom.
-    pub prefetch_advisory_dropped: u64,
-    /// Release completions the engine verified (frames actually freed).
-    pub releases_verified: u64,
-    /// Prefetch pages dropped because the brownout ladder sits at
-    /// `Critical` or worse (machine-wide stand-down, not tenant fault).
-    pub prefetch_browned_out: u64,
+sim_core::stats_struct! {
+    /// Run-time layer statistics.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct RtStats {
+        /// Prefetch hints seen (pages).
+        pub prefetch_hints: u64,
+        /// Prefetch pages dropped because the bitmap showed them resident.
+        pub prefetch_filtered: u64,
+        /// Prefetch pages forwarded to the OS.
+        pub prefetch_issued: u64,
+        /// Release hints seen.
+        pub release_hints: u64,
+        /// Releases dropped by the same-page tag check.
+        pub release_same_page: u64,
+        /// Releases dropped because the page was not resident.
+        pub release_filtered_bitmap: u64,
+        /// Releases forwarded to the OS immediately.
+        pub release_issued_direct: u64,
+        /// Releases buffered for later.
+        pub release_buffered: u64,
+        /// Buffered releases drained to the OS by memory pressure.
+        pub release_drained: u64,
+        /// Hints the fault layer dropped before the filters saw them.
+        pub hints_dropped: u64,
+        /// Hints the fault layer held back behind the next hint.
+        pub hints_delayed: u64,
+        /// Hints the fault layer delivered twice.
+        pub hints_duplicated: u64,
+        /// Hints whose tag the fault layer rewrote.
+        pub hints_mistagged: u64,
+        /// Bitmap reads served from the stale cache with a wrong value.
+        pub stale_reads: u64,
+        /// Hints the health monitor degraded to reactive behavior.
+        pub hints_suppressed: u64,
+        /// Releases cancelled by a re-reference (misfire feedback).
+        pub misfires_cancelled: u64,
+        /// Released pages rescued back off the free list (misfire feedback).
+        pub misfires_rescued: u64,
+        /// Prefetches that reached the OS already resident (misfire feedback).
+        pub misfires_useless_prefetch: u64,
+        /// Directive tags retired on loop-nest exit.
+        pub tags_retired: u64,
+        /// Prefetch pages rejected by the admission rate limiter.
+        pub prefetch_rejected: u64,
+        /// Release hints rejected by the admission rate limiter.
+        pub release_rejected: u64,
+        /// Advisory (low-trust) prefetch pages dropped for lack of free
+        /// headroom.
+        pub prefetch_advisory_dropped: u64,
+        /// Release completions the engine verified (frames actually freed).
+        pub releases_verified: u64,
+        /// Prefetch pages dropped because the brownout ladder sits at
+        /// `Critical` or worse (machine-wide stand-down, not tenant fault).
+        pub prefetch_browned_out: u64,
+    }
 }
 
 /// The run-time layer for one process (see module docs).

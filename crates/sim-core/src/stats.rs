@@ -4,7 +4,9 @@
 //! (Figure 7), (b) event counts (Figure 8, Table 3, Figure 9, Figure 10c),
 //! and (c) response-time series (Figures 1 and 10a/b). This module provides
 //! the corresponding primitives: [`TimeBreakdown`], [`Counter`],
-//! [`Histogram`], and [`Series`].
+//! [`Histogram`], and [`Series`]. Structs of counters are declared with
+//! [`stats_struct!`](crate::stats_struct), which gives each one its field
+//! list as `u64`s.
 
 use std::fmt;
 
@@ -159,6 +161,82 @@ impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
+}
+
+/// A statistics field that converts losslessly to and from a `u64`: the
+/// field type of every [`stats_struct!`](crate::stats_struct) struct.
+pub trait StatValue {
+    /// The value as a `u64`.
+    fn to_u64(&self) -> u64;
+    /// The value a `u64` from [`StatValue::to_u64`] stands for.
+    fn from_u64(v: u64) -> Self;
+}
+
+impl StatValue for u64 {
+    fn to_u64(&self) -> u64 {
+        *self
+    }
+    fn from_u64(v: u64) -> Self {
+        v
+    }
+}
+
+impl StatValue for Counter {
+    fn to_u64(&self) -> u64 {
+        self.0
+    }
+    fn from_u64(v: u64) -> Self {
+        Counter(v)
+    }
+}
+
+impl StatValue for SimDuration {
+    fn to_u64(&self) -> u64 {
+        self.as_nanos()
+    }
+    fn from_u64(v: u64) -> Self {
+        SimDuration::from_nanos(v)
+    }
+}
+
+/// Declares a statistics struct whose fields are all [`StatValue`]s.
+///
+/// The struct is emitted exactly as written (attributes, docs, fields),
+/// plus two inherent methods over its field list: `values()`, every field
+/// as a `u64` in declaration order, and `from_values(&[u64])`, its
+/// inverse, which is `None` unless the slice holds exactly one value per
+/// field. Code that serializes the struct iterates these, so a new field
+/// is carried with no further edit.
+#[macro_export]
+macro_rules! stats_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Every field as a `u64`, in declaration order.
+            pub fn values(&self) -> [u64; [$(stringify!($field)),*].len()] {
+                [$($crate::stats::StatValue::to_u64(&self.$field)),*]
+            }
+
+            /// The struct whose [`values`](Self::values) are `v`, or
+            /// `None` unless `v` holds exactly one value per field.
+            pub fn from_values(v: &[u64]) -> Option<Self> {
+                let mut v = v.iter().copied();
+                let s = $name {
+                    $($field: $crate::stats::StatValue::from_u64(v.next()?),)*
+                };
+                v.next().is_none().then_some(s)
+            }
+        }
+    };
 }
 
 /// A fixed-bucket latency histogram with power-of-two bucket boundaries.
@@ -520,6 +598,30 @@ mod tests {
         c.bump();
         c.add(9);
         assert_eq!(c.get(), 10);
+    }
+
+    crate::stats_struct! {
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        struct Mixed {
+            hits: Counter,
+            peak: u64,
+            busy: SimDuration,
+        }
+    }
+
+    #[test]
+    fn stats_struct_round_trips_its_fields_in_order() {
+        let mut m = Mixed {
+            peak: 7,
+            busy: SimDuration::from_nanos(1_500),
+            ..Mixed::default()
+        };
+        m.hits.add(3);
+        assert_eq!(m.values(), [3, 7, 1_500]);
+        assert_eq!(Mixed::from_values(&m.values()), Some(m));
+        assert_eq!(Mixed::from_values(&[3, 7]), None);
+        assert_eq!(Mixed::from_values(&[3, 7, 1_500, 0]), None);
+        assert_eq!(Mixed::from_values(&[]), None);
     }
 
     #[test]

@@ -14,17 +14,19 @@
 use sim_core::stats::Counter;
 use sim_core::{SimDuration, SimTime};
 
-/// Aggregate lock statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LockStats {
-    /// Number of acquisitions.
-    pub acquisitions: Counter,
-    /// Acquisitions that had to wait.
-    pub contended: Counter,
-    /// Total time spent waiting.
-    pub total_wait: SimDuration,
-    /// Total time the lock was held.
-    pub total_hold: SimDuration,
+sim_core::stats_struct! {
+    /// Aggregate lock statistics.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct LockStats {
+        /// Number of acquisitions.
+        pub acquisitions: Counter,
+        /// Acquisitions that had to wait.
+        pub contended: Counter,
+        /// Total time spent waiting.
+        pub total_wait: SimDuration,
+        /// Total time the lock was held.
+        pub total_hold: SimDuration,
+    }
 }
 
 /// A FIFO timeline lock (see module docs).
