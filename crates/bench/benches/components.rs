@@ -107,19 +107,25 @@ fn bench_touch_paths() {
 fn bench_freelist() {
     use vm::frame::FrameTable;
     use vm::freelist::FreeList;
+    use vm::pagetable::PageTable;
     use vm::{Pid, Vpn};
+    const PAGES: u64 = 4096;
     let mut frames = FrameTable::new(4800);
     let mut free = FreeList::new();
     free.fill_initial(&frames);
+    // One process whose page-table entries hold the rescue links.
+    let mut pts = [PageTable::new()];
+    pts[0].entry(Vpn(PAGES - 1));
     let mut i = 0u64;
     bench("freelist alloc/free/rescue cycle", || {
-        let pfn = free.alloc(&mut frames).expect("frame");
-        frames.get_mut(pfn).owner = Some((Pid(0), Vpn(i)));
-        free.push_freed(&mut frames, pfn, true);
+        let vpn = Vpn(i % PAGES);
+        let pfn = free.alloc(&mut frames, &mut pts[..]).expect("frame");
+        frames.get_mut(pfn).owner = Some((Pid(0), vpn));
+        free.push_freed(&mut frames, &mut pts[..], pfn, true);
         if i.is_multiple_of(3) {
-            black_box(free.rescue(&mut frames, Pid(0), Vpn(i)));
+            black_box(free.rescue(&mut frames, &mut pts[..], Pid(0), vpn));
             frames.get_mut(pfn).owner = None;
-            free.push_freed(&mut frames, pfn, false);
+            free.push_freed(&mut frames, &mut pts[..], pfn, false);
         }
         i += 1;
     });

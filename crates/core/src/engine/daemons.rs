@@ -4,7 +4,7 @@
 //! occupancy samples).
 
 use sim_core::fault::FaultKind;
-use sim_core::sanitizer::{Mutation, MutationTarget};
+use sim_core::sanitizer::{InvariantViolation, Mutation, MutationTarget};
 use sim_core::{SimDuration, SimTime};
 use vm::Pid;
 
@@ -57,6 +57,41 @@ impl Engine {
             let jitter = self.releaser_fault_delay(at);
             self.queue.schedule(at + delay + jitter, Ev::Releaser);
         }
+    }
+
+    /// Schedules the daemons the VM needs after an op, or, when the op
+    /// `changed` nothing a daemon waits on (the free count, the paging
+    /// daemon's wake flag, the over-cap set, the releaser queue), skips
+    /// the check. Skipping matches waking only while every daemon the VM
+    /// needs is already scheduled; checked mode verifies exactly that at
+    /// each skip.
+    #[inline]
+    pub(super) fn wake_daemons_if(&mut self, changed: bool, at: SimTime) {
+        if changed {
+            self.wake_daemons(at);
+        } else if self.checked {
+            self.checked_daemon_wake();
+        }
+    }
+
+    /// Checked mode: each daemon the VM needs has a wakeup scheduled.
+    #[cold]
+    fn checked_daemon_wake(&self) {
+        let daemon = if self.vm.pagingd_needed() && !self.pagingd_scheduled {
+            "paging daemon"
+        } else if self.vm.releaser_pending() && !self.releaser_scheduled {
+            "releaser"
+        } else {
+            return;
+        };
+        InvariantViolation {
+            at: self.queue.now(),
+            subsystem: "engine",
+            invariant: "daemon_wake",
+            detail: format!("the {daemon} has work but no wakeup is scheduled"),
+            tail: self.vm.recorder().dump_tail(16),
+        }
+        .raise()
     }
 
     /// Credits releaser-verified frees to each process's admission trust

@@ -234,7 +234,9 @@ impl Engine {
         if let Some(rt) = p.rt.as_mut() {
             rt.note_touch_outcome(p.local, vpn, res.kind);
         }
-        self.wake_daemons(res.done_at);
+        // A TLB hit or miss changes nothing the daemons wait on.
+        let changed = !matches!(res.kind, vm::TouchKind::Hit | vm::TouchKind::TlbMiss);
+        self.wake_daemons_if(changed, res.done_at);
     }
 
     /// Runs one compiler-inserted hint (`PrefetchHint`, `ReleaseHint`
@@ -287,11 +289,13 @@ impl Engine {
         self.span_add(i, state, now, cost);
         if let Op::PrefetchHint { .. } = op {
             // A dead pthread pool prefetches nothing: the filtered pages
-            // will demand-fault later.
-            if self.prefetch_alive {
+            // will demand-fault later. A hint that reaches the OS with no
+            // page changes nothing the daemons wait on.
+            let issued = self.prefetch_alive && !pages.is_empty();
+            if issued {
                 self.issue_prefetches(i, pid, local, &pages);
             }
-            self.wake_daemons(local);
+            self.wake_daemons_if(issued, local);
         } else {
             if !pages.is_empty() {
                 self.issue_releases(i, pid, local, &pages);

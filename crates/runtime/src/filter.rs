@@ -11,13 +11,19 @@
 //! current release request identifies a different page, then the previously
 //! recorded release is actually handled and the current one is recorded."
 
-use sim_core::hash::HashMap;
 use vm::Vpn;
 
 /// The per-tag one-behind release filter.
+///
+/// The live tags sit in a small table: one slot per tag, found by a scan
+/// of a few `u32`s (a process has one live tag per release directive of
+/// the loop nests it is in), with no hashing.
 #[derive(Clone, Debug, Default)]
 pub struct TagFilter {
-    last: HashMap<u32, Vpn>,
+    /// The live tags, in first-seen order; `last[i]` belongs to `tags[i]`.
+    tags: Vec<u32>,
+    /// The page last recorded for each live tag.
+    last: Vec<Vpn>,
     dropped_same_page: u64,
     echo_same_page: bool,
 }
@@ -28,32 +34,38 @@ impl TagFilter {
         Self::default()
     }
 
+    /// The slot of `tag`, if it is live.
+    #[inline]
+    fn slot(&self, tag: u32) -> Option<usize> {
+        self.tags.iter().position(|&t| t == tag)
+    }
+
     /// Observes a release hint `(tag, vpn)`.
     ///
     /// Returns the page whose release should now actually be handled (the
     /// previously recorded page for this tag), or `None` if the hint names
     /// the same page as before (dropped) or is the first for its tag.
+    #[inline]
     pub fn observe(&mut self, tag: u32, vpn: Vpn) -> Option<Vpn> {
+        let prev = match self.slot(tag) {
+            Some(i) => Some(std::mem::replace(&mut self.last[i], vpn)),
+            None => {
+                self.tags.push(tag);
+                self.last.push(vpn);
+                None
+            }
+        };
         if self.echo_same_page {
             // Corrupted (mutation matrix): the still-in-use page leaks
             // straight through instead of being held back one hint.
-            self.last.insert(tag, vpn);
             return Some(vpn);
         }
-        match self.last.get_mut(&tag) {
-            Some(prev) if *prev == vpn => {
+        match prev {
+            Some(prev) if prev == vpn => {
                 self.dropped_same_page += 1;
                 None
             }
-            Some(prev) => {
-                let out = *prev;
-                *prev = vpn;
-                Some(out)
-            }
-            None => {
-                self.last.insert(tag, vpn);
-                None
-            }
+            prev => prev,
         }
     }
 
@@ -64,7 +76,8 @@ impl TagFilter {
 
     /// Pages still recorded (one per tag), e.g. for end-of-run flushing.
     pub fn drain_recorded(&mut self) -> Vec<Vpn> {
-        self.last.drain().map(|(_, v)| v).collect()
+        self.tags.clear();
+        std::mem::take(&mut self.last)
     }
 
     /// Retires one tag, returning its trailing recorded page (if any) so
@@ -75,7 +88,9 @@ impl TagFilter {
     /// its entry would leak one slot per retired tag over a long
     /// multi-phase run. The executor calls this on nest exit.
     pub fn retire_tag(&mut self, tag: u32) -> Option<Vpn> {
-        self.last.remove(&tag)
+        let i = self.slot(tag)?;
+        self.tags.swap_remove(i);
+        Some(self.last.swap_remove(i))
     }
 
     /// Retires every listed tag, collecting their trailing pages.
@@ -88,7 +103,7 @@ impl TagFilter {
     /// Number of tags currently tracked (bounded by live nests, not by
     /// run length, once retirement is wired in).
     pub fn tracked_tags(&self) -> usize {
-        self.last.len()
+        self.tags.len()
     }
 
     /// Test-only corruption: makes every observation echo the just-used

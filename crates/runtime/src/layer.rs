@@ -35,6 +35,7 @@ use vm::{Pid, VmSys, Vpn};
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, AdmissionVerdict};
 use crate::filter::TagFilter;
 use crate::health::{HealthConfig, HealthStats, HintHealth, Misfire};
+use crate::pages::PageTags;
 use crate::policy::{ReleaseBuffers, ReleasePolicy};
 
 /// Cap on queued reactive eviction candidates produced by degradation.
@@ -167,9 +168,9 @@ pub struct RuntimeLayer {
     stale: HashMap<Vpn, (SimTime, bool)>,
     /// Pages whose release was issued/buffered, by responsible tag, so VM
     /// feedback (cancellation, rescue) can be attributed for health.
-    release_tags: HashMap<Vpn, u32>,
+    release_tags: PageTags,
     /// Pages whose prefetch was issued, by responsible tag.
-    prefetch_tags: HashMap<Vpn, u32>,
+    prefetch_tags: PageTags,
     /// Suppressed release hints, kept as reactive eviction candidates.
     degraded: VecDeque<Vpn>,
     /// Brownout ladder rung in force (engine-applied, machine-wide).
@@ -196,8 +197,8 @@ impl RuntimeLayer {
             delayed_release: VecDeque::new(),
             delayed_prefetch: VecDeque::new(),
             stale: HashMap::default(),
-            release_tags: HashMap::default(),
-            prefetch_tags: HashMap::default(),
+            release_tags: PageTags::default(),
+            prefetch_tags: PageTags::default(),
             degraded: VecDeque::new(),
             brownout: PressureLevel::Normal,
             checked: false,
@@ -350,6 +351,7 @@ impl RuntimeLayer {
 
     /// Processes a prefetch hint `(vpn, npages, tag)`, appending the pages
     /// to prefetch to `out`; returns the user-CPU cost of the checking.
+    #[inline]
     pub fn prefetch_hint(
         &mut self,
         vm: &VmSys,
@@ -391,6 +393,7 @@ impl RuntimeLayer {
     /// Processes a release hint `(vpn, priority, tag)`, appending the
     /// pages to release now to `out`; returns the user-CPU cost of the
     /// layer's work.
+    #[inline]
     pub fn release_hint(
         &mut self,
         vm: &VmSys,
@@ -428,6 +431,7 @@ impl RuntimeLayer {
     /// Retires directive `tag` (see [`RuntimeLayer::on_retire_tag`]),
     /// appending the pages to release now to `out`; returns the user-CPU
     /// cost.
+    #[inline]
     pub fn retire_tag(
         &mut self,
         vm: &VmSys,
@@ -451,6 +455,7 @@ impl RuntimeLayer {
 
     /// Feedback from the VM about a touch on `vpn`: attributes release
     /// misfires (cancellations, free-list rescues) to the hinting tag.
+    #[inline]
     pub fn note_touch_outcome(&mut self, now: SimTime, vpn: Vpn, kind: vm::TouchKind) {
         use vm::frame::FreeSource;
         use vm::TouchKind;
@@ -460,7 +465,7 @@ impl RuntimeLayer {
             TouchKind::HardFault | TouchKind::Rescue(_) => None,
             _ => return,
         };
-        let Some(tag) = self.release_tags.remove(&vpn) else {
+        let Some(tag) = self.release_tags.remove(vpn) else {
             return;
         };
         match misfire {
@@ -478,8 +483,9 @@ impl RuntimeLayer {
 
     /// Feedback from the VM about an issued prefetch: an already-resident
     /// outcome is a useless-prefetch misfire for the hinting tag.
+    #[inline]
     pub fn note_prefetch_outcome(&mut self, now: SimTime, vpn: Vpn, already_resident: bool) {
-        let Some(tag) = self.prefetch_tags.remove(&vpn) else {
+        let Some(tag) = self.prefetch_tags.remove(vpn) else {
             return;
         };
         if already_resident {
@@ -738,7 +744,7 @@ impl RuntimeLayer {
                 self.stats.prefetch_issued += 1;
                 self.obs
                     .emit_page(now, pid.0, page.0, EventKind::PrefetchIssued { tag });
-                self.prefetch_tags.insert(page, tag);
+                self.prefetch_tags.insert(vm.address_space(pid), page, tag);
                 to_issue.push(page);
             }
         }
@@ -848,7 +854,7 @@ impl RuntimeLayer {
             return SimDuration::ZERO;
         }
 
-        self.release_tags.insert(vpn, tag);
+        self.release_tags.insert(vm.address_space(pid), vpn, tag);
         match self.effective_policy() {
             ReleasePolicy::Aggressive => {
                 self.stats.release_issued_direct += 1;

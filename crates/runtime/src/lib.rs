@@ -42,6 +42,7 @@ pub mod handoff;
 pub mod health;
 pub mod layer;
 pub mod ops;
+mod pages;
 pub mod policy;
 pub mod prefetcher;
 pub mod supervisor;

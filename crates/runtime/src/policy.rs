@@ -16,8 +16,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sim_core::hash::{HashMap, HashSet};
 use vm::Vpn;
+
+use crate::pages::PageSet;
 
 /// Which release policy a run-time layer uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,21 +36,45 @@ pub enum ReleasePolicy {
     Reactive,
 }
 
+/// One tag's release queue.
+#[derive(Clone, Debug, Default)]
+struct TagQueue {
+    /// The tag's Eq. 2 priority, fixed at its first buffered page.
+    priority: u32,
+    /// Buffered pages, oldest first.
+    pages: VecDeque<Vpn>,
+    /// The same pages as a set, for coalescing.
+    queued: PageSet,
+}
+
+/// The tags buffered at one priority level.
+#[derive(Clone, Debug, Default)]
+struct Bucket {
+    /// Slots of the level's tags, in registration order (round-robin).
+    slots: Vec<usize>,
+    /// Where the next drain of this level starts.
+    cursor: usize,
+}
+
 /// The per-tag buffered release queues with their priority index.
 ///
 /// Duplicate pages coalesce: "allowing multiple buffered releases for a
 /// particular reference to be coalesced into a single entry in the queue"
 /// (paper §3.3) — a page re-hinted while already queued is not queued
 /// twice.
+///
+/// Each tag that ever buffered a page owns a slot: its queue, its
+/// priority and its coalescing set sit together, found by a scan of the
+/// registered tags (one per buffered release directive of the program),
+/// so buffering a page hashes nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ReleaseBuffers {
-    queues: HashMap<u32, VecDeque<Vpn>>,
-    queued_pages: HashMap<u32, HashSet<Vpn>>,
-    /// priority → tags at that priority (insertion order; round-robin).
-    priolist: BTreeMap<u32, Vec<u32>>,
-    tag_priority: HashMap<u32, u32>,
+    /// Registered tags; `queues[i]` belongs to `tags[i]`.
+    tags: Vec<u32>,
+    queues: Vec<TagQueue>,
+    /// priority → the slots at that priority.
+    priolist: BTreeMap<u32, Bucket>,
     buffered: usize,
-    rr_cursor: HashMap<u32, usize>,
 }
 
 impl ReleaseBuffers {
@@ -59,6 +84,7 @@ impl ReleaseBuffers {
     }
 
     /// Number of pages currently buffered.
+    #[inline]
     pub fn buffered(&self) -> usize {
         self.buffered
     }
@@ -71,17 +97,28 @@ impl ReleaseBuffers {
     /// Panics if `priority` is zero or the tag changes priority.
     pub fn buffer(&mut self, tag: u32, priority: u32, vpn: Vpn) {
         assert!(priority > 0, "priority-0 releases are not buffered");
-        match self.tag_priority.get(&tag) {
-            Some(&p) => assert_eq!(p, priority, "tag {tag} changed priority"),
-            None => {
-                self.tag_priority.insert(tag, priority);
-                self.priolist.entry(priority).or_default().push(tag);
+        let slot = match self.tags.iter().position(|&t| t == tag) {
+            Some(i) => {
+                let p = self.queues[i].priority;
+                assert_eq!(p, priority, "tag {tag} changed priority");
+                i
             }
-        }
-        if !self.queued_pages.entry(tag).or_default().insert(vpn) {
+            None => {
+                let i = self.tags.len();
+                self.tags.push(tag);
+                self.queues.push(TagQueue {
+                    priority,
+                    ..TagQueue::default()
+                });
+                self.priolist.entry(priority).or_default().slots.push(i);
+                i
+            }
+        };
+        let q = &mut self.queues[slot];
+        if !q.queued.insert(vpn) {
             return; // already queued for this tag: coalesce
         }
-        self.queues.entry(tag).or_default().push_back(vpn);
+        q.pages.push_back(vpn);
         self.buffered += 1;
     }
 
@@ -94,25 +131,25 @@ impl ReleaseBuffers {
     /// for future use").
     pub fn drain_lowest(&mut self, want: usize) -> Vec<Vpn> {
         let mut out = Vec::with_capacity(want.min(self.buffered));
-        let priorities: Vec<u32> = self.priolist.keys().copied().collect();
-        for prio in priorities {
+        for bucket in self.priolist.values_mut() {
             if out.len() >= want {
                 break;
             }
-            let tags = self.priolist.get(&prio).cloned().unwrap_or_default();
-            if tags.is_empty() {
+            let n = bucket.slots.len();
+            if n == 0 {
                 continue;
             }
-            let mut cursor = *self.rr_cursor.get(&prio).unwrap_or(&0) % tags.len();
+            let mut cursor = bucket.cursor % n;
             let mut empty_streak = 0;
-            while out.len() < want && empty_streak < tags.len() {
-                let tag = tags[cursor];
-                cursor = (cursor + 1) % tags.len();
-                match self.queues.get_mut(&tag).and_then(|q| q.pop_back()) {
+            while out.len() < want && empty_streak < n {
+                let slot = bucket.slots[cursor];
+                cursor = (cursor + 1) % n;
+                match self.queues.get_mut(slot).and_then(|q| {
+                    let vpn = q.pages.pop_back()?;
+                    q.queued.remove(vpn);
+                    Some(vpn)
+                }) {
                     Some(vpn) => {
-                        if let Some(set) = self.queued_pages.get_mut(&tag) {
-                            set.remove(&vpn);
-                        }
                         out.push(vpn);
                         self.buffered -= 1;
                         empty_streak = 0;
@@ -120,7 +157,7 @@ impl ReleaseBuffers {
                     None => empty_streak += 1,
                 }
             }
-            self.rr_cursor.insert(prio, cursor);
+            bucket.cursor = cursor;
         }
         out
     }
@@ -135,60 +172,58 @@ impl ReleaseBuffers {
     /// exactly its registered Eq. 2 priority, and the coalescing sets
     /// mirror the queues. Returns the first disagreement found.
     pub fn check_coherent(&self) -> Result<(), String> {
-        let queued: usize = self.queues.values().map(VecDeque::len).sum();
+        let queued: usize = self.queues.iter().map(|q| q.pages.len()).sum();
         if queued != self.buffered {
             return Err(format!(
                 "buffered count {} != pages actually queued {}",
                 self.buffered, queued
             ));
         }
-        for (&prio, tags) in &self.priolist {
-            for &tag in tags {
-                match self.tag_priority.get(&tag) {
-                    Some(&p) if p == prio => {}
-                    Some(&p) => {
+        for (&prio, bucket) in &self.priolist {
+            for &slot in &bucket.slots {
+                match (self.tags.get(slot), self.queues.get(slot)) {
+                    (Some(_), Some(q)) if q.priority == prio => {}
+                    (Some(tag), Some(q)) => {
                         return Err(format!(
                             "tag {tag} sits in priority-{prio} bucket but is \
-                             registered at Eq. 2 priority {p}"
+                             registered at Eq. 2 priority {}",
+                            q.priority
                         ));
                     }
-                    None => {
+                    _ => {
                         return Err(format!(
-                            "tag {tag} sits in priority-{prio} bucket but has \
-                             no registered priority"
+                            "slot {slot} sits in priority-{prio} bucket but has \
+                             no registered tag"
                         ));
                     }
                 }
             }
         }
-        for (&tag, &prio) in &self.tag_priority {
+        for (slot, (tag, q)) in self.tags.iter().zip(&self.queues).enumerate() {
             if !self
                 .priolist
-                .get(&prio)
-                .is_some_and(|tags| tags.contains(&tag))
+                .get(&q.priority)
+                .is_some_and(|b| b.slots.contains(&slot))
             {
                 return Err(format!(
-                    "tag {tag} registered at priority {prio} but missing from \
-                     that priority's bucket"
+                    "tag {tag} registered at priority {} but missing from \
+                     that priority's bucket",
+                    q.priority
                 ));
             }
-        }
-        for (tag, q) in &self.queues {
-            let set_len = self.queued_pages.get(tag).map_or(0, HashSet::len);
-            if q.len() != set_len {
+            if q.pages.len() != q.queued.len() {
                 return Err(format!(
                     "tag {tag} queue holds {} pages but its coalescing set \
-                     holds {set_len}",
-                    q.len()
+                     holds {}",
+                    q.pages.len(),
+                    q.queued.len()
                 ));
             }
-            if let Some(set) = self.queued_pages.get(tag) {
-                if let Some(vpn) = q.iter().find(|v| !set.contains(v)) {
-                    return Err(format!(
-                        "tag {tag} queue holds {vpn} absent from its \
-                         coalescing set"
-                    ));
-                }
+            if let Some(vpn) = q.pages.iter().find(|&&v| !q.queued.contains(v)) {
+                return Err(format!(
+                    "tag {tag} queue holds {vpn} absent from its \
+                     coalescing set"
+                ));
             }
         }
         Ok(())
@@ -202,17 +237,17 @@ impl ReleaseBuffers {
         let victim = self
             .priolist
             .iter()
-            .find(|(_, tags)| !tags.is_empty())
-            .map(|(&prio, tags)| (prio, tags[0]));
+            .find(|(_, b)| !b.slots.is_empty())
+            .map(|(&prio, b)| (prio, b.slots[0]));
         match victim {
-            Some((prio, tag)) => {
-                if let Some(tags) = self.priolist.get_mut(&prio) {
-                    tags.retain(|&t| t != tag);
+            Some((prio, slot)) => {
+                if let Some(b) = self.priolist.get_mut(&prio) {
+                    b.slots.retain(|&s| s != slot);
                 }
-                self.priolist.entry(prio + 1).or_default().push(tag);
+                self.priolist.entry(prio + 1).or_default().slots.push(slot);
             }
             None => {
-                self.priolist.entry(1).or_default().push(999_983);
+                self.priolist.entry(1).or_default().slots.push(usize::MAX);
             }
         }
     }

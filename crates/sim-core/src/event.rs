@@ -5,18 +5,16 @@
 //! therefore fire in the order they were scheduled (FIFO tie-break), which
 //! keeps the whole simulation deterministic.
 //!
-//! Events carry an arbitrary payload `E`. Cancellation is supported by id:
-//! cancelled events stay in the heap but are skipped on pop (lazy deletion),
-//! which keeps both scheduling and cancellation `O(log n)` amortized.
+//! Events carry an arbitrary payload `E`. Nothing is ever cancelled, so the
+//! queue is a plain binary heap: scheduling and popping are `O(log n)` and
+//! peeking at the next fire time is one read.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::hash::HashSet;
-
 use crate::time::SimTime;
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event: its scheduling sequence number.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
@@ -81,7 +79,6 @@ impl<E> Ord for HeapEntry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -97,7 +94,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::default(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -127,56 +123,32 @@ impl<E> EventQueue<E> {
         EventId(seq)
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (or been cancelled).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Pops the next live event, advancing the clock to its fire time.
+    /// Pops the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            debug_assert!(entry.time >= self.now, "event queue went backwards");
-            self.now = entry.time;
-            return Some(ScheduledEvent {
-                time: entry.time,
-                id: EventId(entry.seq),
-                payload: entry.payload,
-            });
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "event queue went backwards");
+        self.now = entry.time;
+        Some(ScheduledEvent {
+            time: entry.time,
+            id: EventId(entry.seq),
+            payload: entry.payload,
+        })
     }
 
-    /// Peeks at the fire time of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled entries from the top so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
+    /// Peeks at the fire time of the next event without popping it.
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|entry| entry.time)
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -230,40 +202,16 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_event() {
+    fn peek_time_names_the_next_pop_and_len_counts_the_rest() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        assert_eq!(q.pop().unwrap().payload, "b");
+        assert_eq!(q.peek_time(), None);
+        q.schedule(t(20), ());
+        q.schedule(t(10), ());
+        assert_eq!((q.peek_time(), q.len()), (Some(t(10)), 2));
+        assert_eq!(q.pop().unwrap().time, t(10));
+        assert_eq!((q.peek_time(), q.len()), (Some(t(20)), 1));
+        q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(99)));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), ());
-        q.schedule(t(20), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), ());
-        q.schedule(t(20), ());
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(20)));
     }
 
     #[test]

@@ -154,11 +154,17 @@ pub enum Mutation {
     /// Enter a process in the quota ledger's over-cap index without
     /// touching its residency or cap (a stale incremental index).
     StaleOverCapIndex,
+    /// Clear a page's TLB bit but leave its entry in the TLB ring (an
+    /// invalidation that dropped its ring update).
+    DropTlbInvalidation,
+    /// Link a page to a free-list frame that does not hold it (a stale
+    /// rescue link).
+    StaleRescueLink,
 }
 
 impl Mutation {
     /// Every mutation, in a fixed order (the self-test matrix order).
-    pub fn all() -> [Mutation; 14] {
+    pub fn all() -> [Mutation; 16] {
         [
             Mutation::FlipBitmapBit,
             Mutation::TamperUsageWord,
@@ -174,6 +180,8 @@ impl Mutation {
             Mutation::BustRetryBudget,
             Mutation::StealthFree,
             Mutation::StaleOverCapIndex,
+            Mutation::DropTlbInvalidation,
+            Mutation::StaleRescueLink,
         ]
     }
 
@@ -194,6 +202,8 @@ impl Mutation {
             Mutation::BustRetryBudget => "bust_retry_budget",
             Mutation::StealthFree => "stealth_free",
             Mutation::StaleOverCapIndex => "stale_over_cap_index",
+            Mutation::DropTlbInvalidation => "drop_tlb_invalidation",
+            Mutation::StaleRescueLink => "stale_rescue_link",
         }
     }
 
@@ -214,6 +224,8 @@ impl Mutation {
             Mutation::BustRetryBudget => "io_retry_budget",
             Mutation::StealthFree => "oracle_residency",
             Mutation::StaleOverCapIndex => "over_cap_index",
+            Mutation::DropTlbInvalidation => "tlb_ring_agreement",
+            Mutation::StaleRescueLink => "rescue_link",
         }
     }
 
@@ -229,7 +241,9 @@ impl Mutation {
             | Mutation::WarpClockHand
             | Mutation::ReleaseInflightPrefetch
             | Mutation::StealthFree
-            | Mutation::StaleOverCapIndex => MutationTarget::Vm,
+            | Mutation::StaleOverCapIndex
+            | Mutation::DropTlbInvalidation
+            | Mutation::StaleRescueLink => MutationTarget::Vm,
             Mutation::ReorderReleaseQueue | Mutation::FilterPassthrough => MutationTarget::Runtime,
             Mutation::DoubleCompleteIo | Mutation::BustRetryBudget => MutationTarget::Disk,
         }

@@ -66,6 +66,7 @@ impl TimeBreakdown {
     }
 
     /// Adds `d` to category `cat`.
+    #[inline]
     pub fn add(&mut self, cat: TimeCategory, d: SimDuration) {
         let slot = match cat {
             TimeCategory::User => &mut self.user,
@@ -142,11 +143,13 @@ impl Counter {
     }
 
     /// Increments by one.
+    #[inline]
     pub fn bump(&mut self) {
         self.0 += 1;
     }
 
     /// Increments by `n`.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.0 = self.0.saturating_add(n);
     }

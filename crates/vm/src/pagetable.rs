@@ -57,6 +57,15 @@ pub struct Pte {
     /// Whether the page has ever been materialized (zero-filled or paged
     /// in). Untouched zero-fill pages have no content anywhere.
     pub materialized: bool,
+    /// Whether the process's TLB holds this page. Maintained only by
+    /// [`crate::tlb::Tlb`], whose ring holds exactly the pages with this
+    /// bit set.
+    pub in_tlb: bool,
+    /// While the page is not resident: the free-listed frame still holding
+    /// its content, which a fault can rescue without I/O. Maintained only
+    /// by [`crate::freelist::FreeList`], which clears the link when it
+    /// reallocates the frame.
+    pub rescue: Option<Pfn>,
 }
 
 impl Default for Pte {
@@ -73,12 +82,15 @@ impl Default for Pte {
             release_requested: None,
             swap_slot: None,
             materialized: false,
+            in_tlb: false,
+            rescue: None,
         }
     }
 }
 
 impl Pte {
     /// Whether the page is resident in physical memory.
+    #[inline]
     pub fn resident(&self) -> bool {
         self.pfn.is_some()
     }
@@ -135,7 +147,13 @@ impl PageTable {
         }
     }
 
+    /// The table's first VPN.
+    pub fn base(&self) -> Vpn {
+        Vpn(self.base)
+    }
+
     /// Index of `vpn` in `entries` (`None` below the base).
+    #[inline]
     fn index(&self, vpn: Vpn) -> Option<usize> {
         vpn.0
             .checked_sub(self.base)
@@ -145,10 +163,21 @@ impl PageTable {
     /// Looks up an entry; entries never written read as the default
     /// (non-resident).
     pub fn get(&self, vpn: Vpn) -> Pte {
-        self.index(vpn)
-            .and_then(|i| self.entries.get(i))
-            .copied()
-            .unwrap_or_default()
+        self.get_ref(vpn).copied().unwrap_or_default()
+    }
+
+    /// The entry of `vpn` by reference, if it was ever written; entries
+    /// never written read as [`Pte::default`] through [`PageTable::get`].
+    #[inline]
+    pub fn get_ref(&self, vpn: Vpn) -> Option<&Pte> {
+        self.index(vpn).and_then(|i| self.entries.get(i))
+    }
+
+    /// Mutable access to the entry of `vpn` if it was ever written,
+    /// without growing the table.
+    #[inline]
+    pub fn get_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
+        self.index(vpn).and_then(|i| self.entries.get_mut(i))
     }
 
     /// Mutable entry access, growing the table to cover `vpn`.
@@ -194,12 +223,11 @@ impl PageTable {
     }
 
     /// Fallible [`PageTable::unmap`]: removes the residency of `vpn`,
-    /// returning the frame it occupied, or the reason it could not.
+    /// returning the frame it occupied, or the reason it could not. The
+    /// entry's TLB bit is left for [`crate::tlb::Tlb::invalidate`] to
+    /// clear together with the ring.
     pub fn try_unmap(&mut self, vpn: Vpn) -> Result<Pfn, PageTableError> {
-        let e = self
-            .index(vpn)
-            .and_then(|i| self.entries.get_mut(i))
-            .ok_or(PageTableError::Unmapped(vpn))?;
+        let e = self.get_mut(vpn).ok_or(PageTableError::Unmapped(vpn))?;
         let pfn = e.pfn.take().ok_or(PageTableError::NotResident(vpn))?;
         e.valid = false;
         e.invalid_reason = None;
@@ -209,14 +237,18 @@ impl PageTable {
         Ok(pfn)
     }
 
-    /// Iterates over the resident entries in VPN order.
-    pub fn iter_resident(&self) -> impl Iterator<Item = (Vpn, &Pte)> + '_ {
+    /// Iterates over every written entry in VPN order, resident or not.
+    pub fn iter(&self) -> impl Iterator<Item = (Vpn, &Pte)> + '_ {
         let base = self.base;
         self.entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.resident())
             .map(move |(i, e)| (Vpn(base + i as u64), e))
+    }
+
+    /// Iterates over the resident entries in VPN order.
+    pub fn iter_resident(&self) -> impl Iterator<Item = (Vpn, &Pte)> + '_ {
+        self.iter().filter(|(_, e)| e.resident())
     }
 
     /// Test-only corruption: desynchronizes the cached resident counter

@@ -64,6 +64,7 @@ impl PagingDaemon {
     }
 
     /// Whether a wake was requested.
+    #[inline]
     pub fn wake_requested(&self) -> bool {
         self.wake_requested
     }
@@ -249,7 +250,8 @@ impl VmSys {
                         e.valid = false;
                         e.invalid_reason = Some(InvalidReason::DaemonSample);
                         e.clock_sampled = true;
-                        self.procs[pid.0 as usize].tlb.invalidate(vpn);
+                        let p = &mut self.procs[pid.0 as usize];
+                        p.tlb.invalidate(&mut p.pt, vpn);
                         self.stats.pagingd.invalidations.bump();
                     }
                     Action::ClearRef(vpn) => {

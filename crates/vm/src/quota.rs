@@ -256,6 +256,7 @@ impl QuotaSet {
 
     /// The lowest pid charged above its cap, if any. O(log n): the
     /// over-cap set is maintained at every ledger update.
+    #[inline]
     pub(crate) fn first_over_cap(&self) -> Option<u32> {
         self.over_cap.first().copied()
     }

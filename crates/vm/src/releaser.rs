@@ -59,6 +59,7 @@ impl Releaser {
     }
 
     /// Whether the queue is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }

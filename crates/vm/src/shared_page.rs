@@ -8,6 +8,13 @@
 //! * the rest — a **residency bitmap** indexed by virtual page number over
 //!   the attached ranges (bit set ⇔ page in memory).
 //!
+//! The bitmap is one flat bit array over the process's span of attached
+//! pages, from the first attached page to the end of the last, with the
+//! pages between ranges (and every page outside the span) reading as set,
+//! as the paper specifies for unattached addresses. A read is one
+//! subtraction, one compare and one bit test, whatever the number of
+//! ranges; a second bit array marks which pages of the span are attached.
+//!
 //! Per the paper, the two words are updated **only when the process has
 //! memory-system activity** (a prefetch/release request, a page fault, or a
 //! page stolen from it) — not every time global conditions change. The
@@ -47,6 +54,7 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range {}", self.len);
         self.words[i / 64] & (1u64 << (i % 64)) != 0
@@ -87,24 +95,37 @@ impl BitVec {
     }
 }
 
-/// The shared page: usage/limit words plus per-range residency bitmaps.
+/// The shared page: usage/limit words plus the flat residency bitmap.
 #[derive(Clone, Debug, Default)]
 pub struct SharedPage {
     /// Word 0: pages currently in use (lazily updated).
     pub usage_word: u64,
     /// Word 1: upper limit on pages to use (lazily updated, Eq. 1).
     pub limit_word: u64,
-    ranges: Vec<(PageRange, BitVec)>,
+    /// First VPN of the span `bits` and `attached` cover.
+    base: u64,
+    /// One bit per page of the span: residency on attached pages, always
+    /// set on the others.
+    bits: BitVec,
+    /// One bit per page of the span: whether the page is attached.
+    attached: BitVec,
 }
 
 impl SharedPage {
     /// Creates a shared page with no attached ranges.
     ///
     /// Per the paper, all bits are conceptually set when the PM is created;
-    /// attaching a range clears the bits for those addresses. We materialize
-    /// bitmaps per attached range directly in the cleared state.
+    /// attaching a range clears the bits for those addresses.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Index of `vpn` in the span, if it lies inside it.
+    #[inline]
+    fn index(&self, vpn: Vpn) -> Option<usize> {
+        // Below the base the subtraction wraps past the span's end.
+        let i = vpn.0.wrapping_sub(self.base);
+        (i < self.bits.len() as u64).then_some(i as usize)
     }
 
     /// Attaches the PM to a range of the address space (bits cleared).
@@ -113,40 +134,57 @@ impl SharedPage {
     ///
     /// Panics if the range overlaps an already-attached range.
     pub fn attach(&mut self, range: PageRange) {
-        for (existing, _) in &self.ranges {
-            let disjoint = range.end().0 <= existing.start.0 || existing.end().0 <= range.start.0;
-            assert!(
-                disjoint,
-                "overlapping PM attachment: {range:?} vs {existing:?}"
-            );
+        if let Some(i) = range.iter().find(|&v| self.covers(v)) {
+            panic!("overlapping PM attachment: {range:?} covers attached {i}");
         }
-        let bits = BitVec::new(range.len as usize);
-        self.ranges.push((range, bits));
+        let (start, end) = (range.start.0, range.end().0);
+        let (old_start, old_end) = (self.base, self.base + self.bits.len() as u64);
+        let (new_start, new_end) = if self.bits.is_empty() {
+            (start, end)
+        } else {
+            (old_start.min(start), old_end.max(end))
+        };
+        if (new_start, new_end) != (old_start, old_end) {
+            // Re-lay both arrays over the widened span; pages new to it
+            // are unattached, so they read as set.
+            let len = (new_end - new_start) as usize;
+            let mut bits = BitVec::new(len);
+            bits.set_all();
+            let mut attached = BitVec::new(len);
+            // An empty span has nothing to copy, wherever its base was.
+            let shift = old_start.saturating_sub(new_start) as usize;
+            for i in 0..self.bits.len() {
+                bits.set(shift + i, self.bits.get(i));
+                attached.set(shift + i, self.attached.get(i));
+            }
+            self.base = new_start;
+            self.bits = bits;
+            self.attached = attached;
+        }
+        for vpn in range.iter() {
+            let i = (vpn.0 - self.base) as usize;
+            self.bits.set(i, false);
+            self.attached.set(i, true);
+        }
     }
 
     /// Whether `vpn` is covered by any attached range.
     pub fn covers(&self, vpn: Vpn) -> bool {
-        self.ranges.iter().any(|(r, _)| r.contains(vpn))
+        self.index(vpn).is_some_and(|i| self.attached.get(i))
     }
 
     /// Reads the residency bit for `vpn`. Pages outside attached ranges read
     /// as set (the paper initializes non-attached bits to 1).
+    #[inline]
     pub fn is_resident(&self, vpn: Vpn) -> bool {
-        for (r, bits) in &self.ranges {
-            if r.contains(vpn) {
-                return bits.get(r.offset_of(vpn) as usize);
-            }
-        }
-        true
+        self.index(vpn).is_none_or(|i| self.bits.get(i))
     }
 
     /// Updates the residency bit for `vpn` (no-op outside attached ranges).
+    #[inline]
     pub fn set_resident(&mut self, vpn: Vpn, resident: bool) {
-        for (r, bits) in &mut self.ranges {
-            if r.contains(vpn) {
-                bits.set(r.offset_of(vpn) as usize, resident);
-                return;
-            }
+        if let Some(i) = self.index(vpn).filter(|&i| self.attached.get(i)) {
+            self.bits.set(i, resident);
         }
     }
 
@@ -159,7 +197,12 @@ impl SharedPage {
 
     /// Total resident bits across attached ranges (for diagnostics).
     pub fn resident_count(&self) -> usize {
-        self.ranges.iter().map(|(_, b)| b.count_ones()).sum()
+        self.bits
+            .words
+            .iter()
+            .zip(&self.attached.words)
+            .map(|(b, a)| (b & a).count_ones() as usize)
+            .sum()
     }
 }
 

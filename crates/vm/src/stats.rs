@@ -124,6 +124,7 @@ pub struct VmStats {
 
 impl VmStats {
     /// Per-process stats, growing the vector as processes appear.
+    #[inline]
     pub fn proc_mut(&mut self, pid: usize) -> &mut ProcStats {
         if pid >= self.procs.len() {
             self.procs.resize_with(pid + 1, ProcStats::default);

@@ -25,10 +25,10 @@ use sim_core::{SimDuration, SimTime};
 
 use crate::addr::{PageRange, Pfn, Pid, Vpn};
 use crate::frame::{FrameTable, FreeSource};
-use crate::freelist::FreeList;
+use crate::freelist::{FreeList, RescueLinks};
 use crate::lock::TimelineLock;
 use crate::outcome::{PrefetchOutcome, ReleaseEnqueue, TouchKind, TouchResult};
-use crate::pagetable::{InvalidReason, PageTable};
+use crate::pagetable::{InvalidReason, PageTable, Pte};
 use crate::pagingd::PagingDaemon;
 use crate::params::{CostParams, Tunables};
 use crate::policy::PagingDirected;
@@ -66,6 +66,15 @@ pub(crate) struct ProcessMem {
     pub lock: TimelineLock,
     pub pm: Option<PagingDirected>,
     next_vpn: u64,
+}
+
+/// The process table holds each page's rescue link in its entry.
+impl RescueLinks for [ProcessMem] {
+    #[inline]
+    fn link(&mut self, pid: Pid, vpn: Vpn) -> Option<&mut Option<Pfn>> {
+        let e = self.get_mut(pid.0 as usize)?.pt.get_mut(vpn)?;
+        Some(&mut e.rescue)
+    }
 }
 
 /// Why a VM operation could not be completed.
@@ -288,6 +297,7 @@ impl VmSys {
     }
 
     /// Number of frames currently free.
+    #[inline]
     pub fn free_pages(&self) -> u64 {
         self.free.live() as u64
     }
@@ -300,6 +310,15 @@ impl VmSys {
     /// Resident set size of a process, in pages.
     pub fn rss(&self, pid: Pid) -> u64 {
         self.procs[pid.0 as usize].pt.resident_pages()
+    }
+
+    /// The span of a process's address space: from its page table's base
+    /// to the end of its last mapped region (guard gaps included). Every
+    /// page a process can touch lies inside it.
+    pub fn address_space(&self, pid: Pid) -> PageRange {
+        let p = &self.procs[pid.0 as usize];
+        let base = p.pt.base();
+        PageRange::new(base, p.next_vpn - base.0)
     }
 
     /// Read-only statistics.
@@ -318,11 +337,13 @@ impl VmSys {
     }
 
     /// The tunables in force.
+    #[inline]
     pub fn tunables(&self) -> &Tunables {
         &self.tun
     }
 
     /// The cost parameters in force.
+    #[inline]
     pub fn cost_params(&self) -> &CostParams {
         &self.params
     }
@@ -385,6 +406,7 @@ impl VmSys {
     /// Lazy semantics (the paper's): the words are whatever the last
     /// memory-system activity left there. With the
     /// `immediate_limit_updates` ablation they are recomputed on every read.
+    #[inline]
     pub fn shared_view(&self, pid: Pid) -> Option<SharedView> {
         let p = &self.procs[pid.0 as usize];
         let pm = p.pm.as_ref()?;
@@ -408,6 +430,7 @@ impl VmSys {
 
     /// Reads one residency bit from the shared page (bitmap reads are
     /// always current; the OS maintains them eagerly).
+    #[inline]
     pub fn pm_resident(&self, pid: Pid, vpn: Vpn) -> bool {
         match &self.procs[pid.0 as usize].pm {
             Some(pm) => pm.shared.is_resident(vpn),
@@ -507,6 +530,11 @@ impl VmSys {
     /// returning the timed outcome or the reason the reference is
     /// unserviceable ([`VmError::UnmappedAddress`],
     /// [`VmError::OutOfMemory`]).
+    ///
+    /// A touch of a valid page, the common case, reads its entry once by
+    /// reference and tests the entry's TLB bit; every fault path is out
+    /// of line.
+    #[inline]
     pub fn try_touch(
         &mut self,
         now: SimTime,
@@ -515,10 +543,52 @@ impl VmSys {
         write: bool,
     ) -> Result<TouchResult, VmError> {
         let pidx = pid.0 as usize;
-        let pte = self.procs[pidx].pt.get(vpn);
+        let p = &mut self.procs[pidx];
+        match p.pt.get_mut(vpn) {
+            Some(e) if e.valid && e.resident() => {
+                e.last_ref = now;
+                e.clock_sampled = false;
+                e.hw_referenced = true;
+                e.dirty |= write;
+            }
+            _ => return self.touch_slow(now, pid, vpn, write),
+        }
+        if p.tlb.touch(&mut p.pt, vpn) {
+            return Ok(TouchResult::hit(now));
+        }
+        self.stats.proc_mut(pidx).tlb_misses.bump();
+        let refill = self.params.tlb_refill;
+        Ok(TouchResult {
+            kind: TouchKind::TlbMiss,
+            system: refill,
+            resource_wait: SimDuration::ZERO,
+            io_wait: SimDuration::ZERO,
+            lock_wait: SimDuration::ZERO,
+            io_queue: SimDuration::ZERO,
+            done_at: now + refill,
+        })
+    }
 
-        if pte.resident() {
-            return Ok(self.touch_resident(now, pid, vpn, write));
+    /// Every touch of a page that is not valid: a soft fault on a resident
+    /// page, a rescue, a zero-fill or a hard fault.
+    #[inline(never)]
+    fn touch_slow(
+        &mut self,
+        now: SimTime,
+        pid: Pid,
+        vpn: Vpn,
+        write: bool,
+    ) -> Result<TouchResult, VmError> {
+        let pidx = pid.0 as usize;
+        let (resident, swapped) = self.procs[pidx]
+            .pt
+            .get_ref(vpn)
+            .map_or((false, false), |e| {
+                (e.resident(), e.materialized && e.swap_slot.is_some())
+            });
+
+        if resident {
+            return Ok(self.touch_invalid(now, pid, vpn, write));
         }
 
         // Not resident: rescue, zero-fill, or hard fault.
@@ -534,7 +604,7 @@ impl VmSys {
         let needs_io = match region.backing {
             Backing::SwapPrefilled => true,
             // Zero-fill pages need I/O only once they've been written back.
-            Backing::ZeroFill => pte.materialized && pte.swap_slot.is_some(),
+            Backing::ZeroFill => swapped,
         };
         if needs_io {
             self.hard_fault(now, pid, vpn, write)
@@ -543,12 +613,13 @@ impl VmSys {
         }
     }
 
-    fn touch_resident(&mut self, now: SimTime, pid: Pid, vpn: Vpn, write: bool) -> TouchResult {
+    /// A touch of a resident page whose PTE is invalid: one of the three
+    /// software-sampling states.
+    fn touch_invalid(&mut self, now: SimTime, pid: Pid, vpn: Vpn, write: bool) -> TouchResult {
         let pidx = pid.0 as usize;
         let params = self.params;
 
-        // Split-borrow dance: everything we need hangs off procs[pidx].
-        let (valid, reason, arrives_at) = {
+        let (reason, arrives_at) = {
             let e = self.procs[pidx].pt.entry(vpn);
             e.last_ref = now;
             e.clock_sampled = false;
@@ -556,27 +627,10 @@ impl VmSys {
             if write {
                 e.dirty = true;
             }
-            (e.valid, e.invalid_reason, e.arrives_at)
+            debug_assert!(!e.valid, "valid pages take the fast path");
+            (e.invalid_reason, e.arrives_at)
         };
 
-        if valid {
-            let tlb_hit = self.procs[pidx].tlb.touch(vpn);
-            if tlb_hit {
-                return TouchResult::hit(now);
-            }
-            self.stats.proc_mut(pidx).tlb_misses.bump();
-            return TouchResult {
-                kind: TouchKind::TlbMiss,
-                system: params.tlb_refill,
-                resource_wait: SimDuration::ZERO,
-                io_wait: SimDuration::ZERO,
-                lock_wait: SimDuration::ZERO,
-                io_queue: SimDuration::ZERO,
-                done_at: now + params.tlb_refill,
-            };
-        }
-
-        // Resident but invalid: one of the three software-sampling states.
         match reason {
             Some(InvalidReason::Prefetched) => {
                 // Wait for the in-flight prefetch, then validate.
@@ -584,7 +638,7 @@ impl VmSys {
                 let t_arrived = now + io_wait;
                 let system = params.prefetch_validate + params.tlb_refill;
                 self.validate_pte(pidx, vpn, now);
-                self.procs[pidx].tlb.touch(vpn);
+                self.tlb_touch(pidx, vpn);
                 self.stats.proc_mut(pidx).prefetch_validates.bump();
                 self.quota.credit(pid.0, 1);
                 self.note_page(now, pid.0, vpn.0, EventKind::PrefetchValidated);
@@ -602,7 +656,7 @@ impl VmSys {
                 let acq = self.procs[pidx].lock.acquire(now, params.soft_fault_lock);
                 let system = params.soft_fault;
                 self.validate_pte(pidx, vpn, now);
-                self.procs[pidx].tlb.touch(vpn);
+                self.tlb_touch(pidx, vpn);
                 self.stats.proc_mut(pidx).soft_faults_daemon.bump();
                 self.note_page(now, pid.0, vpn.0, EventKind::SoftFaultDaemon);
                 self.refresh_shared(now, pid);
@@ -626,7 +680,7 @@ impl VmSys {
                     e.release_requested = None;
                 }
                 self.validate_pte(pidx, vpn, now);
-                self.procs[pidx].tlb.touch(vpn);
+                self.tlb_touch(pidx, vpn);
                 if let Some(pm) = self.procs[pidx].pm.as_mut() {
                     pm.shared.set_resident(vpn, true);
                 }
@@ -655,6 +709,18 @@ impl VmSys {
         }
     }
 
+    /// References `vpn` in process `pidx`'s TLB (installing it on a miss).
+    fn tlb_touch(&mut self, pidx: usize, vpn: Vpn) -> bool {
+        let p = &mut self.procs[pidx];
+        p.tlb.touch(&mut p.pt, vpn)
+    }
+
+    /// Drops `vpn` from process `pidx`'s TLB if it is there.
+    fn tlb_invalidate(&mut self, pidx: usize, vpn: Vpn) {
+        let p = &mut self.procs[pidx];
+        p.tlb.invalidate(&mut p.pt, vpn);
+    }
+
     fn validate_pte(&mut self, pidx: usize, vpn: Vpn, now: SimTime) {
         let e = self.procs[pidx].pt.entry(vpn);
         e.valid = true;
@@ -666,7 +732,9 @@ impl VmSys {
 
     fn try_rescue(&mut self, now: SimTime, pid: Pid, vpn: Vpn, write: bool) -> Option<TouchResult> {
         let pidx = pid.0 as usize;
-        let pfn = self.free.rescue(&mut self.frames, pid, vpn)?;
+        let pfn = self
+            .free
+            .rescue(&mut self.frames, &mut self.procs[..], pid, vpn)?;
         let params = self.params;
         let source = self.frames.get(pfn).source;
         let acq = self.procs[pidx].lock.acquire(now, params.rescue_lock);
@@ -689,7 +757,7 @@ impl VmSys {
             e.release_requested = None;
             e.materialized = true;
         }
-        self.procs[pidx].tlb.touch(vpn);
+        self.tlb_touch(pidx, vpn);
         if let Some(pm) = self.procs[pidx].pm.as_mut() {
             pm.shared.set_resident(vpn, true);
         }
@@ -829,7 +897,7 @@ impl VmSys {
             e.release_requested = None;
             e.materialized = true;
         }
-        self.procs[pidx].tlb.touch(vpn);
+        self.tlb_touch(pidx, vpn);
         if let Some(pm) = self.procs[pidx].pm.as_mut() {
             pm.shared.set_resident(vpn, true);
         }
@@ -899,7 +967,7 @@ impl VmSys {
         let mut t = now;
         let mut waited = SimDuration::ZERO;
         for _attempt in 0..64 {
-            if let Some(pfn) = self.free.alloc(&mut self.frames) {
+            if let Some(pfn) = self.free.alloc(&mut self.frames, &mut self.procs[..]) {
                 if (self.free.live() as u64) < self.tun.min_freemem {
                     self.pagingd.request_wake();
                 }
@@ -933,11 +1001,11 @@ impl VmSys {
     pub fn prefetch(&mut self, now: SimTime, pid: Pid, vpn: Vpn) -> (PrefetchOutcome, SimDuration) {
         let pidx = pid.0 as usize;
         let cost = self.params.pm_prefetch_call;
-        let pte = self.procs[pidx].pt.get(vpn);
+        let resident = self.procs[pidx].pt.get_ref(vpn).is_some_and(Pte::resident);
         let stats = self.stats.proc_mut(pidx);
         stats.prefetch_requests.bump();
 
-        if pte.resident() {
+        if resident {
             self.stats.proc_mut(pidx).prefetch_redundant.bump();
             // Redundant prefetch: kernel work spent checking a page the
             // tenant already had. Debit its burst slack.
@@ -969,7 +1037,10 @@ impl VmSys {
 
         // A free-list rescue satisfies the prefetch without I/O.
         if self.tun.rescue_enabled {
-            if let Some(pfn) = self.free.rescue(&mut self.frames, pid, vpn) {
+            if let Some(pfn) = self
+                .free
+                .rescue(&mut self.frames, &mut self.procs[..], pid, vpn)
+            {
                 let source = self.frames.get(pfn).source;
                 self.frames.get_mut(pfn).owner = Some((pid, vpn));
                 self.install_prefetched(pidx, pid, vpn, pfn, now, now);
@@ -1002,7 +1073,7 @@ impl VmSys {
             self.refresh_shared(now, pid);
             return (PrefetchOutcome::Discarded, cost);
         }
-        let Some(pfn) = self.free.alloc(&mut self.frames) else {
+        let Some(pfn) = self.free.alloc(&mut self.frames, &mut self.procs[..]) else {
             self.stats.proc_mut(pidx).prefetch_discarded.bump();
             self.note_page(now, pid.0, vpn.0, EventKind::PrefetchDiscarded);
             return (PrefetchOutcome::Discarded, cost);
@@ -1078,15 +1149,21 @@ impl VmSys {
         let pidx = pid.0 as usize;
         let mut out = ReleaseEnqueue::default();
         for &vpn in vpns {
-            let pte = self.procs[pidx].pt.get(vpn);
-            if !pte.resident() || pte.release_requested.is_some() {
+            let (releasable, in_flight) = match self.procs[pidx].pt.get_ref(vpn) {
+                Some(e) if e.resident() && e.release_requested.is_none() => (
+                    true,
+                    e.invalid_reason == Some(InvalidReason::Prefetched) && e.arrives_at > now,
+                ),
+                _ => (false, false),
+            };
+            if !releasable {
                 out.skipped_nonresident += 1;
                 self.stats.releaser.skipped_nonresident.bump();
                 self.note_page(now, pid.0, vpn.0, EventKind::ReleaseSkippedNonresident);
                 continue;
             }
             // Releasing an in-flight prefetch would race its I/O; skip.
-            if pte.invalid_reason == Some(InvalidReason::Prefetched) && pte.arrives_at > now {
+            if in_flight {
                 out.skipped_nonresident += 1;
                 self.stats.releaser.skipped_nonresident.bump();
                 self.note_page(now, pid.0, vpn.0, EventKind::ReleaseSkippedNonresident);
@@ -1098,7 +1175,7 @@ impl VmSys {
                 e.invalid_reason = Some(InvalidReason::ReleasePending);
                 e.release_requested = Some(now);
             }
-            self.procs[pidx].tlb.invalidate(vpn);
+            self.tlb_invalidate(pidx, vpn);
             if let Some(pm) = self.procs[pidx].pm.as_mut() {
                 pm.shared.set_resident(vpn, false);
             }
@@ -1132,7 +1209,7 @@ impl VmSys {
             None
         };
         let pfn = self.procs[pidx].pt.unmap(vpn);
-        self.procs[pidx].tlb.invalidate(vpn);
+        self.tlb_invalidate(pidx, vpn);
         if let Some(pm) = self.procs[pidx].pm.as_mut() {
             pm.shared.set_resident(vpn, false);
         }
@@ -1153,7 +1230,8 @@ impl VmSys {
         self.procs[pidx].pt.entry(vpn).dirty = false;
         let rescuable = self.tun.rescue_enabled
             && (source != FreeSource::Release || self.tun.released_pages_rescuable);
-        self.free.push_freed(&mut self.frames, pfn, rescuable);
+        self.free
+            .push_freed(&mut self.frames, &mut self.procs[..], pfn, rescuable);
         self.quota.uncharge(pid.0);
         match source {
             FreeSource::Daemon => {
@@ -1179,6 +1257,7 @@ impl VmSys {
 
     /// Whether the paging daemon has work (low free memory, an over-limit
     /// process, or an explicit wake request).
+    #[inline]
     pub fn pagingd_needed(&self) -> bool {
         (self.free.live() as u64) < self.tun.min_freemem
             || self.pagingd.wake_requested()
@@ -1190,6 +1269,7 @@ impl VmSys {
     /// in the number of processes: the quota ledger keeps the over-cap
     /// set current at every charge, uncharge, debit, credit and cap
     /// change.
+    #[inline]
     pub fn over_limit_pid(&self) -> Option<Pid> {
         self.quota.first_over_cap().map(Pid)
     }
@@ -1211,6 +1291,7 @@ impl VmSys {
     }
 
     /// Whether the releaser has queued work (always false while dead).
+    #[inline]
     pub fn releaser_pending(&self) -> bool {
         self.releaser_alive && !self.releaser.is_empty()
     }
@@ -1375,6 +1456,27 @@ impl VmSys {
         for pidx in 0..self.procs.len() {
             self.checked_sweep_proc(now, pidx);
         }
+        // Every rescuable free frame is linked from its page (the
+        // converse of the per-process link check above).
+        for (pfn, f) in self.frames.iter() {
+            let Some((pid, vpn)) = f.owner.filter(|_| f.on_free_list) else {
+                continue;
+            };
+            let link = self.procs[pid.0 as usize]
+                .pt
+                .get_ref(vpn)
+                .and_then(|e| e.rescue);
+            if link != Some(pfn) {
+                self.checked_fail(
+                    now,
+                    "rescue_link",
+                    format!(
+                        "free frame {} holds pid {} vpn {} but the page links {link:?}",
+                        pfn.0, pid.0, vpn.0
+                    ),
+                );
+            }
+        }
         // The quota ledger's incremental over-cap set and above-guarantee
         // count, recomputed naively from the page tables. After the
         // per-process loop, so a corrupted resident count is reported as
@@ -1478,6 +1580,7 @@ impl VmSys {
                 }
             }
         }
+        self.checked_tlb_and_links(now, pidx);
         if let Some(pm) = p.pm.as_ref() {
             // The loop above checked every resident page's bit; a set bit
             // on a non-resident page shows up as a surplus here.
@@ -1502,6 +1605,55 @@ impl VmSys {
                         ),
                     );
                 }
+            }
+        }
+    }
+
+    /// The incremental per-page state of one process, recomputed from the
+    /// page table: the TLB ring holds exactly the pages whose TLB bit is
+    /// set, and every rescue link names a free-listed frame that still
+    /// holds that page.
+    fn checked_tlb_and_links(&self, now: SimTime, pidx: usize) {
+        let p = &self.procs[pidx];
+        let ring = p.tlb.entries();
+        if let Some(&vpn) = ring
+            .iter()
+            .find(|&&v| !p.pt.get_ref(v).is_some_and(|e| e.in_tlb))
+        {
+            self.checked_fail(
+                now,
+                "tlb_ring_agreement",
+                format!(
+                    "pid {pidx}: TLB ring holds vpn {} whose TLB bit is clear",
+                    vpn.0
+                ),
+            );
+        }
+        let bits = p.pt.iter().filter(|(_, e)| e.in_tlb).count();
+        if bits != ring.len() {
+            self.checked_fail(
+                now,
+                "tlb_ring_agreement",
+                format!(
+                    "pid {pidx}: {bits} TLB bits set but the ring holds {} entries",
+                    ring.len()
+                ),
+            );
+        }
+        for (vpn, e) in p.pt.iter() {
+            let Some(pfn) = e.rescue else {
+                continue;
+            };
+            let f = self.frames.get(pfn);
+            if !f.on_free_list || f.owner != Some((Pid(pidx as u32), vpn)) {
+                self.checked_fail(
+                    now,
+                    "rescue_link",
+                    format!(
+                        "pid {pidx} vpn {} links frame {} (free-listed {}, owner {:?})",
+                        vpn.0, pfn.0, f.on_free_list, f.owner
+                    ),
+                );
             }
         }
     }
@@ -1584,7 +1736,8 @@ impl VmSys {
             Mutation::DoubleFreeFrame => {
                 let target = self.procs[pidx].pt.iter_resident().next();
                 if let Some(pfn) = target.and_then(|(_, pte)| pte.pfn) {
-                    self.free.push_freed(&mut self.frames, pfn, false);
+                    self.free
+                        .push_freed(&mut self.frames, &mut self.procs[..], pfn, false);
                 }
             }
             Mutation::WarpClockHand => {
@@ -1615,6 +1768,18 @@ impl VmSys {
             }
             Mutation::StaleOverCapIndex => {
                 self.quota.corrupt_over_cap_index(pid.0);
+            }
+            Mutation::DropTlbInvalidation => {
+                let p = &mut self.procs[pidx];
+                p.tlb.corrupt_drop_invalidation(&mut p.pt);
+            }
+            Mutation::StaleRescueLink => {
+                // A guard-gap page the process never touches, linked to a
+                // frame that does not hold it.
+                let p = &mut self.procs[pidx];
+                if let Some(gap) = p.regions.first().map(|r| r.range.end()) {
+                    p.pt.entry(gap).rescue = Some(Pfn(0));
+                }
             }
             Mutation::StealthFree => {
                 let target = self.procs[pidx]
@@ -1649,7 +1814,7 @@ impl VmSys {
             .collect();
         for vpn in vpns {
             let pfn = self.procs[pidx].pt.unmap(vpn);
-            self.procs[pidx].tlb.invalidate(vpn);
+            self.tlb_invalidate(pidx, vpn);
             if let Some(pm) = self.procs[pidx].pm.as_mut() {
                 pm.shared.set_resident(vpn, false);
             }
@@ -1659,7 +1824,8 @@ impl VmSys {
                 f.dirty = false;
                 f.source = FreeSource::Unmap;
             }
-            self.free.push_freed(&mut self.frames, pfn, false);
+            self.free
+                .push_freed(&mut self.frames, &mut self.procs[..], pfn, false);
             self.quota.uncharge(pid.0);
         }
         self.reactive.remove(&pid);

@@ -1,16 +1,23 @@
-//! Reference-model property tests for the dense per-process structures:
-//! the page table (one array indexed by `vpn - base`) against a naive
-//! `BTreeMap<Vpn, Pte>`, and the scanned FIFO TLB against a
-//! `VecDeque` + `HashSet` FIFO, under random operation interleavings.
+//! Reference-model property tests for the dense per-process structures,
+//! under random operation interleavings: the page table (one array
+//! indexed by `vpn - base`) against a naive `BTreeMap<Vpn, Pte>`; the
+//! FIFO TLB, whose membership is a bit in each entry, against a
+//! `VecDeque` + `HashSet` FIFO; the shared page's flat residency bitmap
+//! against one bitmap per attached range; and the free list's rescue
+//! links, kept in the page-table entries, against a `(pid, vpn)`-keyed
+//! index.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use sim_core::check::{self, run_cases};
 use sim_core::rng::Pcg32;
 use sim_core::SimTime;
+use vm::frame::FrameTable;
+use vm::freelist::FreeList;
 use vm::pagetable::{InvalidReason, PageTable, Pte};
+use vm::shared_page::SharedPage;
 use vm::tlb::Tlb;
-use vm::{PageTableError, Pfn, Vpn};
+use vm::{PageRange, PageTableError, Pfn, Pid, Vpn};
 
 /// Pages of address space the random operations range over.
 const SPAN: u64 = 96;
@@ -186,16 +193,19 @@ enum Site {
     Absent,
 }
 
-/// The TLB (a ring once full, straightened on invalidation) against the
-/// queue-and-set model: every touch must hit or miss alike, across fills,
-/// wrap-arounds, and invalidations of the oldest entry, a middle one, the
-/// newest one and a page that is not installed.
+/// The TLB (bits in the page table, a ring once full for FIFO order,
+/// straightened on invalidation) against the queue-and-set model: every
+/// touch must hit or miss alike, across fills, wrap-arounds, and
+/// invalidations of the oldest entry, a middle one, the newest one and a
+/// page that is not installed; and after every step the set bits are
+/// exactly the model's set.
 #[test]
 fn scanned_tlb_matches_fifo_set_model() {
     for capacity in [1usize, 2, 64] {
         let mut seen: HashSet<Site> = HashSet::new();
         run_cases(0x54_4c_42 ^ capacity as u64, 48, |rng| {
             let mut tlb = Tlb::new(capacity);
+            let mut pt = PageTable::new();
             let mut model = ModelTlb {
                 capacity,
                 fifo: VecDeque::new(),
@@ -229,13 +239,25 @@ fn scanned_tlb_matches_fifo_set_model() {
                     } else {
                         Site::Absent
                     });
-                    tlb.invalidate(target);
+                    tlb.invalidate(&mut pt, target);
                     model.invalidate(target);
                 } else {
-                    assert_eq!(tlb.touch(vpn), model.touch(vpn), "touch({vpn})");
+                    assert_eq!(tlb.touch(&mut pt, vpn), model.touch(vpn), "touch({vpn})");
                 }
                 assert_eq!(tlb.hits(), model.hits, "hits");
                 assert_eq!(tlb.misses(), model.misses, "misses");
+                let bits: HashSet<Vpn> = pt
+                    .iter()
+                    .filter(|(_, e)| e.in_tlb)
+                    .map(|(v, _)| v)
+                    .collect();
+                assert_eq!(bits, model.set, "TLB bits");
+                let ring: HashSet<Vpn> = tlb.entries().iter().copied().collect();
+                assert_eq!(
+                    (ring, tlb.entries().len()),
+                    (bits, model.fifo.len()),
+                    "ring"
+                );
             }
         });
         // With one entry, head, middle and tail coincide.
@@ -244,4 +266,142 @@ fn scanned_tlb_matches_fifo_set_model() {
             assert_eq!(seen.len(), 4, "capacity {capacity}: sites hit {seen:?}");
         }
     }
+}
+
+/// The shared page as it was: one bitmap per attached range, searched in
+/// turn; everything outside the ranges reads as set.
+#[derive(Default)]
+struct ModelShared {
+    ranges: Vec<(PageRange, Vec<bool>)>,
+}
+
+impl ModelShared {
+    fn find(&self, vpn: Vpn) -> Option<(usize, usize)> {
+        self.ranges
+            .iter()
+            .position(|(r, _)| r.contains(vpn))
+            .map(|k| (k, self.ranges[k].0.offset_of(vpn) as usize))
+    }
+
+    fn is_resident(&self, vpn: Vpn) -> bool {
+        self.find(vpn).is_none_or(|(k, i)| self.ranges[k].1[i])
+    }
+
+    fn set_resident(&mut self, vpn: Vpn, resident: bool) {
+        if let Some((k, i)) = self.find(vpn) {
+            self.ranges[k].1[i] = resident;
+        }
+    }
+}
+
+/// The flat bitmap against the per-range model: ranges attached in any
+/// order with guard gaps between them, reads and writes of attached
+/// pages, gap pages, and pages below and beyond every range.
+#[test]
+fn flat_bitmap_matches_per_range_model() {
+    run_cases(0x5a_b1_7e, 128, |rng| {
+        let mut flat = SharedPage::new();
+        let mut model = ModelShared::default();
+        // Three to five ranges with gaps, attached in a shuffled order.
+        let mut ranges = Vec::new();
+        let mut next = 0x1000 + u64::from(rng.next_below(64));
+        for _ in 0..check::int_in(rng, 3, 5) {
+            let len = check::int_in(rng, 1, 150);
+            ranges.push(PageRange::new(Vpn(next), len));
+            next += len + check::int_in(rng, 0, 20);
+        }
+        rng.shuffle(&mut ranges);
+        for r in ranges {
+            flat.attach(r);
+            model.ranges.push((r, vec![false; r.len as usize]));
+        }
+        let (lo, hi) = (0x1000 - 8, next + 8);
+        for _ in 0..check::int_in(rng, 1, 400) {
+            let vpn = Vpn(check::int_in(rng, lo, hi));
+            if check::flip(rng) {
+                let bit = check::flip(rng);
+                flat.set_resident(vpn, bit);
+                model.set_resident(vpn, bit);
+            }
+            assert_eq!(flat.is_resident(vpn), model.is_resident(vpn), "{vpn}");
+            assert_eq!(flat.covers(vpn), model.find(vpn).is_some(), "{vpn}");
+        }
+        for v in lo..hi {
+            assert_eq!(flat.is_resident(Vpn(v)), model.is_resident(Vpn(v)));
+        }
+        let set: usize = model
+            .ranges
+            .iter()
+            .map(|(_, b)| b.iter().filter(|&&x| x).count())
+            .sum();
+        assert_eq!(flat.resident_count(), set);
+        assert!(flat.is_resident(Vpn(0)) && flat.is_resident(Vpn(u64::MAX)));
+    });
+}
+
+/// The free list's rescue links against the index they replaced, a map
+/// from `(pid, vpn)` to frame: random frees (rescuable or not, pages
+/// cycling quickly so a newer frame overrides an older one), allocations
+/// and rescue attempts must return the same frames, and every link must
+/// equal the index entry.
+#[test]
+fn rescue_links_match_hash_index_model() {
+    const PROCS: u32 = 3;
+    const PAGES: u64 = 12;
+    run_cases(0x2e_5c_0e, 128, |rng| {
+        let nframes = check::int_in(rng, 1, 24) as usize;
+        let mut frames = FrameTable::new(nframes);
+        let mut free = FreeList::new();
+        free.fill_initial(&frames);
+        let mut pts: Vec<PageTable> = (0..PROCS)
+            .map(|_| {
+                let mut pt = PageTable::new();
+                pt.entry(Vpn(PAGES - 1));
+                pt
+            })
+            .collect();
+        let mut index: HashMap<(Pid, Vpn), Pfn> = HashMap::new();
+        let mut held: Vec<Pfn> = Vec::new();
+        for _ in 0..check::int_in(rng, 1, 300) {
+            let pid = Pid(rng.next_below(PROCS));
+            let vpn = Vpn(check::int_in(rng, 0, PAGES - 1));
+            match rng.next_below(3) {
+                0 => {
+                    let got = free.alloc(&mut frames, &mut pts[..]);
+                    // The model: the same frame, and its index entry goes
+                    // only if it still names the frame.
+                    if let Some(pfn) = got {
+                        index.retain(|_, &mut f| f != pfn);
+                        held.push(pfn);
+                    }
+                }
+                1 if !held.is_empty() => {
+                    let pfn = held.swap_remove(rng.index(held.len()));
+                    let rescuable = rng.next_below(4) != 0;
+                    frames.get_mut(pfn).owner = Some((pid, vpn));
+                    free.push_freed(&mut frames, &mut pts[..], pfn, rescuable);
+                    if rescuable {
+                        index.insert((pid, vpn), pfn);
+                    }
+                }
+                _ => {
+                    let want = index.remove(&(pid, vpn)).filter(|&pfn| {
+                        let f = frames.get(pfn);
+                        f.on_free_list && f.owner == Some((pid, vpn))
+                    });
+                    let got = free.rescue(&mut frames, &mut pts[..], pid, vpn);
+                    assert_eq!(got, want, "rescue of {pid:?} {vpn}");
+                    if let Some(pfn) = got {
+                        held.push(pfn);
+                    }
+                }
+            }
+            for (p, pt) in pts.iter().enumerate() {
+                for (v, e) in pt.iter() {
+                    assert_eq!(e.rescue, index.get(&(Pid(p as u32), v)).copied(), "link");
+                }
+            }
+            assert_eq!(free.live() + held.len(), nframes, "frames conserved");
+        }
+    });
 }
