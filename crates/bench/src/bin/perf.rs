@@ -47,16 +47,20 @@ fn baseline_ops_per_sec(json: &str, scenario: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The committed baseline: `HOGTAME_BASELINE`, default
+/// `BENCH_fleet.json` in the working directory.
+fn baseline_path() -> String {
+    std::env::var("HOGTAME_BASELINE").unwrap_or_else(|_| "BENCH_fleet.json".to_string())
+}
+
 /// Soft-fail regression gate: compares each sample against the committed
-/// baseline (`HOGTAME_BASELINE`, default `BENCH_fleet.json` in the
-/// working directory) and prints a GitHub `::warning::` annotation when
+/// baseline at `path` and prints a GitHub `::warning::` annotation when
 /// throughput falls below 75% of it. Wall-clock is hostile to hard
 /// gates — shared CI runners jitter far more than the simulator — so
 /// this warns instead of failing, and the fresh JSON is archived for
 /// human comparison.
-fn check_baseline(samples: &[Sample]) {
-    let path = std::env::var("HOGTAME_BASELINE").unwrap_or_else(|_| "BENCH_fleet.json".to_string());
-    let Ok(base) = std::fs::read_to_string(&path) else {
+fn check_baseline(samples: &[Sample], path: &str) {
+    let Ok(base) = std::fs::read_to_string(path) else {
         println!("no baseline at {path}; comparison skipped");
         return;
     };
@@ -129,5 +133,13 @@ fn main() {
         .write_raw("json", &json)
         .expect("BENCH_fleet.json written");
     println!("wrote {}", path.display());
-    check_baseline(&samples);
+    let baseline = baseline_path();
+    check_baseline(&samples, &baseline);
+    // The run never touches the committed baseline; adopting the fresh
+    // numbers is one deliberate copy (ops and simulated seconds must
+    // match the old file: only wall time may move).
+    println!(
+        "to adopt it as the baseline: cp {} {baseline}",
+        path.display()
+    );
 }

@@ -101,6 +101,8 @@ struct EngineProc {
     /// Releaser-verified frees already credited to the admission trust
     /// score (high-water mark of the VM's per-proc `pages_released`).
     released_seen: u64,
+    /// The next registration of the same pid, if it was registered again.
+    next_same_pid: Option<usize>,
     /// When the process starts executing (fleet arrival instant;
     /// `SimTime::ZERO` for classic runs).
     start_at: SimTime,
@@ -145,8 +147,16 @@ pub struct Engine {
     config: MachineConfig,
     queue: EventQueue<Ev>,
     procs: Vec<EngineProc>,
-    /// Index into `procs` of each VM pid's registration (dense by pid).
+    /// Index into `procs` of each VM pid's first registration (dense by
+    /// pid); later ones chain through `EngineProc::next_same_pid`.
     proc_of_pid: Vec<Option<usize>>,
+    /// Some registered process is primary.
+    any_primary: bool,
+    /// Primaries registered and not yet exited.
+    live_primaries: usize,
+    /// The pids the VM last reported released pages for, reused across
+    /// releaser activations.
+    released_pids: Vec<Pid>,
     pagingd_scheduled: bool,
     releaser_scheduled: bool,
     cpus: CpuPool,
@@ -196,6 +206,9 @@ impl Engine {
             queue: EventQueue::new(),
             procs: Vec::new(),
             proc_of_pid: Vec::new(),
+            any_primary: false,
+            live_primaries: 0,
+            released_pids: Vec::new(),
             pagingd_scheduled: false,
             releaser_scheduled: false,
             cpus: CpuPool::new(ncpus),
@@ -403,7 +416,20 @@ impl Engine {
         if self.proc_of_pid.len() <= slot {
             self.proc_of_pid.resize(slot + 1, None);
         }
-        self.proc_of_pid[slot].get_or_insert(self.procs.len());
+        let i = self.procs.len();
+        match self.proc_of_pid[slot] {
+            None => self.proc_of_pid[slot] = Some(i),
+            Some(mut last) => {
+                while let Some(next) = self.procs[last].next_same_pid {
+                    last = next;
+                }
+                self.procs[last].next_same_pid = Some(i);
+            }
+        }
+        if primary {
+            self.any_primary = true;
+            self.live_primaries += 1;
+        }
         self.procs.push(EngineProc {
             result: ProcResult::new(pid, name.into()),
             stream,
@@ -414,6 +440,7 @@ impl Engine {
             sweep_fault_base: 0,
             primary,
             released_seen: 0,
+            next_same_pid: None,
             start_at: SimTime::ZERO,
             span_req: None,
         });
@@ -491,16 +518,10 @@ impl Engine {
         }
     }
 
+    /// Every primary has exited (false when there is none: such a run
+    /// goes on until its queue empties).
+    #[inline]
     fn primaries_done(&self) -> bool {
-        let mut saw_primary = false;
-        for p in &self.procs {
-            if p.primary {
-                saw_primary = true;
-                if !p.finished() {
-                    return false;
-                }
-            }
-        }
-        saw_primary
+        self.any_primary && self.live_primaries == 0
     }
 }

@@ -99,20 +99,51 @@ impl Engine {
     /// releases earn good-behaviour credit: the VM's per-proc
     /// `pages_released` counter only moves when the releaser daemon
     /// actually freed a frame, so a tenant cannot launder trust by
-    /// issuing releases for pages it never gives back.
+    /// issuing releases for pages it never gives back. Only the pids the
+    /// VM lists as having released since the last credit are visited,
+    /// each through every registration it has.
     fn credit_verified_releases(&mut self, now: SimTime) {
-        for p in &mut self.procs {
-            let Some(rt) = p.rt.as_mut() else { continue };
-            let released = self
-                .vm
-                .stats()
-                .proc(p.result.pid.0 as usize)
-                .pages_released
-                .get();
-            let delta = released.saturating_sub(p.released_seen);
-            if delta > 0 {
-                p.released_seen = released;
-                rt.note_releases_verified(now, delta);
+        let mut pids = std::mem::take(&mut self.released_pids);
+        self.vm.take_released_pids(&mut pids);
+        for &pid in &pids {
+            let released = self.vm.stats().proc(pid.0 as usize).pages_released.get();
+            let mut next = self.proc_of_pid.get(pid.0 as usize).copied().flatten();
+            while let Some(i) = next {
+                let p = &mut self.procs[i];
+                next = p.next_same_pid;
+                let Some(rt) = p.rt.as_mut() else { continue };
+                let delta = released.saturating_sub(p.released_seen);
+                if delta > 0 {
+                    p.released_seen = released;
+                    rt.note_releases_verified(now, delta);
+                }
+            }
+        }
+        self.released_pids = pids;
+        if self.checked {
+            self.checked_release_credit();
+        }
+    }
+
+    /// Checked mode: every process with a run-time layer has been
+    /// credited exactly the releases the VM verified for its pid.
+    #[cold]
+    fn checked_release_credit(&self) {
+        for p in self.procs.iter().filter(|p| p.rt.is_some()) {
+            let pid = p.result.pid;
+            let released = self.vm.stats().proc(pid.0 as usize).pages_released.get();
+            if p.released_seen != released {
+                InvariantViolation {
+                    at: self.queue.now(),
+                    subsystem: "engine",
+                    invariant: "release_credit",
+                    detail: format!(
+                        "pid {} ({}) credited {} verified releases, the VM freed {released}",
+                        pid.0, p.result.name, p.released_seen
+                    ),
+                    tail: self.vm.recorder().dump_tail(16),
+                }
+                .raise()
             }
         }
     }

@@ -5,6 +5,7 @@ use runtime::ops::VecStream;
 use runtime::{Mark, Op, RtStats};
 use sim_core::fault::FaultKind;
 use sim_core::obs::span::{SpanKind, SpanState};
+use sim_core::sanitizer::InvariantViolation;
 use sim_core::stats::TimeCategory;
 use sim_core::{PressureLevel, SimDuration, SimTime};
 use vm::{Pid, Vpn};
@@ -407,6 +408,12 @@ impl Engine {
         // end.
         p.stream = Box::new(VecStream::default());
         let span_req = p.span_req.take();
+        if p.primary {
+            self.live_primaries -= 1;
+            if self.checked {
+                self.checked_live_primaries();
+            }
+        }
         self.vm.exit_process(local, pid);
         if let (Some(tracker), Some(req)) = (self.spans.as_mut(), span_req) {
             if let Some(was_at) = shed_from {
@@ -415,5 +422,29 @@ impl Engine {
             tracker.close(req, local, shed_from.is_some());
         }
         local
+    }
+
+    /// Checked mode: the live-primary count equals a scan of the
+    /// process table.
+    #[cold]
+    fn checked_live_primaries(&self) {
+        let scanned = self
+            .procs
+            .iter()
+            .filter(|p| p.primary && !p.finished())
+            .count();
+        if scanned != self.live_primaries {
+            InvariantViolation {
+                at: self.queue.now(),
+                subsystem: "engine",
+                invariant: "live_primaries",
+                detail: format!(
+                    "{} live primaries counted, {scanned} in the process table",
+                    self.live_primaries
+                ),
+                tail: self.vm.recorder().dump_tail(16),
+            }
+            .raise()
+        }
     }
 }

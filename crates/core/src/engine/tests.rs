@@ -343,3 +343,100 @@ fn memory_pressure_wakes_paging_daemon() {
     assert!(res.vm_stats.pagingd.activations.get() > 0);
     assert!(res.vm_stats.pagingd.pages_stolen.get() > 0);
 }
+
+/// A stream that touches `n` pages of `r` and hints each one released
+/// behind it under one tag, then computes for `tail` so the releaser
+/// catches up before the stream ends.
+fn touch_and_release(r: vm::PageRange, n: u64, tail: SimDuration) -> VecStream {
+    let mut ops = Vec::new();
+    for i in 0..n {
+        let vpn = r.start.offset(i);
+        ops.push(Op::Touch { vpn, write: true });
+        ops.push(Op::Compute(SimDuration::from_micros(50)));
+        ops.push(Op::ReleaseHint {
+            vpn,
+            priority: 0,
+            tag: 1,
+        });
+    }
+    ops.push(Op::Compute(tail));
+    ops.push(Op::End);
+    VecStream::new(ops)
+}
+
+#[test]
+fn a_pid_registered_twice_is_credited_on_both_registrations() {
+    use runtime::{ReleasePolicy, RtConfig, RuntimeLayer};
+    let mut e = engine_small();
+    let pid = e.vm_mut().add_process(true);
+    let r = e.vm_mut().map_region(pid, 64, Backing::ZeroFill, true);
+    let rt = || {
+        Some(RuntimeLayer::new(
+            ReleasePolicy::Aggressive,
+            RtConfig::default(),
+        ))
+    };
+    let stream = touch_and_release(r, 48, SimDuration::from_millis(100));
+    e.register(pid, "releaser", Box::new(stream), rt(), true);
+    // The second registration never ends: the run stops with the primary.
+    let idle = VecStream::new([Op::Sleep(SimDuration::from_secs(100)), Op::End]);
+    e.register(pid, "twin", Box::new(idle), rt(), false);
+    let res = e.run();
+    let released = res.vm_stats.proc(pid.0 as usize).pages_released.get();
+    assert!(released > 0, "the releaser freed nothing");
+    for p in &res.procs {
+        let verified = p.rt_stats.expect("both registrations have a layer");
+        assert_eq!(verified.releases_verified, released, "{}", p.name);
+    }
+}
+
+#[test]
+fn a_run_with_no_primary_runs_until_the_queue_empties() {
+    let mut e = engine_small();
+    for ms in [3, 7, 5] {
+        let pid = e.vm_mut().add_process(false);
+        let ops = vec![Op::Compute(SimDuration::from_millis(ms)), Op::End];
+        e.register(pid, "bg", Box::new(VecStream::new(ops)), None, false);
+    }
+    let res = e.run();
+    assert!(res.procs.iter().all(|p| p.finish_time < SimTime::MAX));
+    assert_eq!(res.end_time, SimTime::from_nanos(7_000_000));
+}
+
+#[test]
+fn a_fleet_whose_first_arrivals_finish_early_ends_with_its_last_primary() {
+    let mut e = engine_small();
+    // Arrival (ms) and compute (ms) of three primaries: the first two
+    // finish long before the third arrives.
+    for (at, ms) in [(0, 1), (10, 1), (50, 2)] {
+        let pid = e.vm_mut().add_process(false);
+        let ops = vec![Op::Compute(SimDuration::from_millis(ms)), Op::End];
+        e.register(pid, "arrival", Box::new(VecStream::new(ops)), None, true);
+        e.set_start(pid, SimTime::from_nanos(at * 1_000_000));
+    }
+    // A background process the run does not wait for.
+    let pid = e.vm_mut().add_process(false);
+    let ops = vec![Op::Sleep(SimDuration::from_secs(10)), Op::End];
+    e.register(pid, "bg", Box::new(VecStream::new(ops)), None, false);
+    let res = e.run();
+    assert!(res.procs[..3].iter().all(|p| p.finish_time < SimTime::MAX));
+    assert_eq!(res.procs[3].finish_time, SimTime::MAX);
+    assert_eq!(res.end_time, SimTime::from_nanos(52_000_000));
+}
+
+#[test]
+fn live_primaries_probe_catches_a_miscount() {
+    use sim_core::sanitizer::InvariantViolation;
+    let mut e = engine_small().with_checked();
+    calc(&mut e, SimDuration::from_millis(1));
+    calc(&mut e, SimDuration::from_millis(2));
+    // A registration the count missed.
+    e.live_primaries -= 1;
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.run()))
+        .expect_err("the first exit sees the miscount");
+    let v = payload
+        .downcast_ref::<InvariantViolation>()
+        .expect("a typed violation");
+    assert_eq!(v.invariant, "live_primaries");
+    assert_eq!(v.at, SimTime::from_nanos(1_000_000));
+}

@@ -160,11 +160,15 @@ pub enum Mutation {
     /// Link a page to a free-list frame that does not hold it (a stale
     /// rescue link).
     StaleRescueLink,
+    /// Drop a process from the VM's list of processes whose released
+    /// pages moved, leaving it marked as listed (its verified releases
+    /// are never credited).
+    DropReleasedPid,
 }
 
 impl Mutation {
     /// Every mutation, in a fixed order (the self-test matrix order).
-    pub fn all() -> [Mutation; 16] {
+    pub fn all() -> [Mutation; 17] {
         [
             Mutation::FlipBitmapBit,
             Mutation::TamperUsageWord,
@@ -182,6 +186,7 @@ impl Mutation {
             Mutation::StaleOverCapIndex,
             Mutation::DropTlbInvalidation,
             Mutation::StaleRescueLink,
+            Mutation::DropReleasedPid,
         ]
     }
 
@@ -204,6 +209,7 @@ impl Mutation {
             Mutation::StaleOverCapIndex => "stale_over_cap_index",
             Mutation::DropTlbInvalidation => "drop_tlb_invalidation",
             Mutation::StaleRescueLink => "stale_rescue_link",
+            Mutation::DropReleasedPid => "drop_released_pid",
         }
     }
 
@@ -226,6 +232,7 @@ impl Mutation {
             Mutation::StaleOverCapIndex => "over_cap_index",
             Mutation::DropTlbInvalidation => "tlb_ring_agreement",
             Mutation::StaleRescueLink => "rescue_link",
+            Mutation::DropReleasedPid => "release_credit",
         }
     }
 
@@ -243,7 +250,8 @@ impl Mutation {
             | Mutation::StealthFree
             | Mutation::StaleOverCapIndex
             | Mutation::DropTlbInvalidation
-            | Mutation::StaleRescueLink => MutationTarget::Vm,
+            | Mutation::StaleRescueLink
+            | Mutation::DropReleasedPid => MutationTarget::Vm,
             Mutation::ReorderReleaseQueue | Mutation::FilterPassthrough => MutationTarget::Runtime,
             Mutation::DoubleCompleteIo | Mutation::BustRetryBudget => MutationTarget::Disk,
         }

@@ -66,6 +66,9 @@ pub(crate) struct ProcessMem {
     pub lock: TimelineLock,
     pub pm: Option<PagingDirected>,
     next_vpn: u64,
+    /// The process is in `VmSys::released_pids`: its `pages_released`
+    /// moved since the engine last took the list.
+    released_listed: bool,
 }
 
 /// The process table holds each page's rescue link in its entry.
@@ -189,6 +192,9 @@ pub struct VmSys {
     /// Suppresses oracle feeding for one operation (the `StealthFree`
     /// self-test mutation: a legitimate free the oracle never hears of).
     oracle_mute: bool,
+    /// Each process whose `pages_released` moved since the engine last
+    /// took this list, once (deduplicated by `ProcessMem::released_listed`).
+    released_pids: Vec<Pid>,
 }
 
 impl VmSys {
@@ -224,6 +230,7 @@ impl VmSys {
             checked_shadow: HashMap::default(),
             checked_hand: None,
             oracle_mute: false,
+            released_pids: Vec::new(),
         }
     }
 
@@ -257,6 +264,7 @@ impl VmSys {
             lock: TimelineLock::new(),
             pm: with_pm.then(PagingDirected::new),
             next_vpn: base,
+            released_listed: false,
         });
         self.stats.proc_mut(pid.0 as usize);
         self.quota.add_process(pid.0);
@@ -324,6 +332,18 @@ impl VmSys {
     /// Read-only statistics.
     pub fn stats(&self) -> &VmStats {
         &self.stats
+    }
+
+    /// Hands over, in `into` (cleared first), each process whose
+    /// `pages_released` counter moved since the last call, once each and
+    /// in the order their first release landed. `into`'s buffer is kept
+    /// for the next list, so alternating two buffers allocates nothing.
+    pub fn take_released_pids(&mut self, into: &mut Vec<Pid>) {
+        into.clear();
+        std::mem::swap(into, &mut self.released_pids);
+        for pid in into.iter() {
+            self.procs[pid.0 as usize].released_listed = false;
+        }
     }
 
     /// Read-only swap-device view.
@@ -1242,6 +1262,11 @@ impl VmSys {
             FreeSource::Release => {
                 self.stats.freed.freed_by_release.bump();
                 self.stats.proc_mut(pidx).pages_released.bump();
+                let p = &mut self.procs[pidx];
+                if !p.released_listed {
+                    p.released_listed = true;
+                    self.released_pids.push(pid);
+                }
                 // The release did its job: a frame actually came back.
                 self.quota.credit(pid.0, 1);
                 self.note_page(t, pid.0, vpn.0, EventKind::FreedByRelease);
@@ -1780,6 +1805,12 @@ impl VmSys {
                 if let Some(gap) = p.regions.first().map(|r| r.range.end()) {
                     p.pt.entry(gap).rescue = Some(Pfn(0));
                 }
+            }
+            Mutation::DropReleasedPid => {
+                // The process stays marked as listed, so none of its
+                // later releases is listed either.
+                self.released_pids.retain(|&p| p != pid);
+                self.procs[pidx].released_listed = true;
             }
             Mutation::StealthFree => {
                 let target = self.procs[pidx]

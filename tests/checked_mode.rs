@@ -64,6 +64,11 @@ fn checked_runs_are_bit_identical_to_unchecked() {
 
 #[test]
 fn every_mutation_is_caught_by_its_intended_invariant() {
+    assert_eq!(
+        Mutation::all().len(),
+        17,
+        "a mutation was added or removed: update this count and the matrix docs"
+    );
     for m in Mutation::all() {
         let v = violation_of(m);
         assert_eq!(
@@ -104,6 +109,9 @@ fn mutation_targets_route_to_their_subsystem() {
         "runtime"
     );
     assert_eq!(violation_of(Mutation::DoubleCompleteIo).subsystem, "disk");
+    // A pid dropped from the VM's released list is caught where the
+    // engine credits the list.
+    assert_eq!(violation_of(Mutation::DropReleasedPid).subsystem, "engine");
 }
 
 #[test]
